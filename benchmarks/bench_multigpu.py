@@ -43,7 +43,7 @@ def _run_modeled(graph, gpus, blocks_per_gpu=8, seed=7):
 
 def _run_sharded(graph, gpus, blocks_per_gpu=8, seed=7):
     cfg = DiggerBeesConfig(n_blocks=blocks_per_gpu, warps_per_block=8,
-                           seed=seed, turbo=True)
+                           seed=seed)
     return run_sharded(graph, 0, config=cfg, k=gpus, jobs=gpus,
                        device=H100)
 
@@ -87,7 +87,7 @@ def test_sharded_concurrency(benchmark, archive, quick):
     g = col.load("euro_osm", scale=1 if quick else 2)
     base = run_diggerbees(
         g, 0, config=DiggerBeesConfig(n_blocks=8, warps_per_block=8,
-                                      seed=7, turbo=True), device=H100)
+                                      seed=7), device=H100)
 
     def run():
         rows = []

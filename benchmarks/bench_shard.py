@@ -185,8 +185,7 @@ def measure_case(case: Dict, *, config: DiggerBeesConfig) -> Dict:
 
 
 def run_sweep(*, quick: bool) -> Dict:
-    config = DiggerBeesConfig(n_blocks=8, warps_per_block=8, seed=7,
-                              turbo=True)
+    config = DiggerBeesConfig(n_blocks=8, warps_per_block=8, seed=7)
     cases = [measure_case(c, config=config) for c in build_corpus(quick)]
     return {
         "bench": "shard",
@@ -195,7 +194,7 @@ def run_sweep(*, quick: bool) -> Dict:
         "device": H100.name,
         "engine": {"n_blocks": config.n_blocks,
                    "warps_per_block": config.warps_per_block,
-                   "turbo": config.turbo, "seed": config.seed},
+                   "seed": config.seed},
         "partition_seed": PARTITION_SEED,
         "cases": cases,
     }

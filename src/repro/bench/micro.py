@@ -26,9 +26,10 @@ systematically understates the cost the gate will later measure.
 The corpus routes through :mod:`repro.graphs.diskcache`, so only a cold
 cache pays generation cost; the hit/miss tally is part of the payload.
 
-``--turbo`` runs every case through the turbo fused loop
-(:mod:`repro.core.turbo`); cycles/steps are bit-identical to the default
-engine, so the same baseline gates both modes.  ``--backend
+Every DFS case runs on the execution path ``run_diggerbees`` takes for
+its config, which is the fused loop (:mod:`repro.core.turbo`) for all
+eight; its cycles/steps are bit-identical to the generic event loop, so
+the baseline gates either.  ``--backend
 {auto,dfs,frontier,swarm}`` selects the engine *family*: ``frontier``
 runs every case through the bit-packed SpMV engine
 (:mod:`repro.core.frontier`), recording MTEPS and the level profile
@@ -157,7 +158,6 @@ def _case_events(counters) -> Dict:
 
 def run_micro(repeats: int = 3,
               profile_path: Optional[str] = None,
-              turbo: bool = False,
               batch: int = 0,
               backend: str = "dfs") -> Dict:
     """Run the fixed micro-sweep; returns the ``BENCH_engine.json`` payload.
@@ -172,7 +172,7 @@ def run_micro(repeats: int = 3,
     hive engine (:mod:`repro.core.hive`); the recorded wall time is the
     median batch wall divided by the batch width — the per-run cost a
     sweep actually pays — and cycles/steps are asserted identical
-    across replicas, so the same baseline gates all three modes.
+    across replicas, so the same baseline gates both modes.
 
     ``backend`` picks the engine family per case: ``"dfs"`` (default)
     is the simulation sweep above; ``"frontier"`` runs every case on
@@ -189,34 +189,21 @@ def run_micro(repeats: int = 3,
     wall, the same statistic ``wall_seconds`` reports, so it equals
     ``total_wall_seconds`` instead of summing every repeat.
     """
-    if turbo and batch:
-        raise BenchmarkError(
-            "--batch selects the hive engine; it cannot be combined "
-            "with --turbo"
-        )
     if backend not in ("auto", "dfs", "frontier", "swarm"):
         raise BenchmarkError(
             f"backend must be auto, dfs, frontier, or swarm, "
             f"got {backend!r}")
-    if backend == "swarm":
-        # Swarm *is* the batched tier: --batch sets its lane count.
-        if turbo:
-            raise BenchmarkError(
-                "--backend swarm selects the lockstep frontier engine; "
-                "it cannot be combined with --turbo"
-            )
-    elif backend != "dfs" and (turbo or batch):
+    # Swarm *is* the batched tier: --batch sets its lane count.
+    if backend in ("auto", "frontier") and batch:
         raise BenchmarkError(
             "--backend frontier/auto selects the engine family; it "
-            "cannot be combined with --turbo or --batch"
+            "cannot be combined with --batch"
         )
     timer = PhaseTimer()
     cases: List[Dict] = []
     diskcache.reset_stats()
     with profile_to(profile_path):
         for name, build, cfg in MICRO_CASES:
-            if turbo:
-                cfg = cfg.with_overrides(turbo=True)
             with timer.phase("generate"):
                 graph = build()
             walls: List[float] = []
@@ -342,7 +329,6 @@ def run_micro(repeats: int = 3,
     payload = {
         "bench": "engine_micro",
         "repeats": repeats,
-        "turbo": turbo,
         "batch": batch,
         "backend": backend,
         "cases": cases,
@@ -437,6 +423,8 @@ def record_trajectory(result: Dict) -> pathlib.Path:
 
 
 def _mode_tag(entry: Dict) -> str:
+    # Records from before the fused loop became the execution path
+    # carry a "turbo" flag; keep telling them apart from scalar runs.
     if entry.get("turbo"):
         return "turbo"
     if entry.get("backend", "dfs") == "swarm":
@@ -524,7 +512,7 @@ def compare_trajectory(a_idx: int, b_idx: int,
 
 
 def render(result: Dict) -> str:
-    mode = " [turbo]" if result.get("turbo") else ""
+    mode = ""
     if result.get("batch"):
         mode = f" [hive batch={result['batch']}]"
     if result.get("backend", "dfs") != "dfs":
@@ -561,9 +549,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--quick", action="store_true",
                         help="single repeat per case")
-    parser.add_argument("--turbo", action="store_true",
-                        help="run every case with the turbo fused loop "
-                             "(bit-identical cycles/steps)")
     parser.add_argument("--batch", type=int, default=0, metavar="N",
                         help="run every case as N lockstep replicas on "
                              "the hive engine (bit-identical "
@@ -606,18 +591,12 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         return 0
-    if args.turbo and args.batch:
-        parser.error("--batch selects the hive engine; drop --turbo")
-    if args.backend == "swarm":
-        if args.turbo:
-            parser.error("--backend swarm cannot combine with --turbo")
-    elif args.backend != "dfs" and (args.turbo or args.batch):
+    if args.backend in ("auto", "frontier") and args.batch:
         parser.error("--backend frontier/auto cannot combine with "
-                     "--turbo/--batch")
+                     "--batch")
 
     result = run_micro(repeats=1 if args.quick else 3,
                        profile_path=args.profile,
-                       turbo=args.turbo,
                        batch=args.batch,
                        backend=args.backend)
     args.json.write_text(json.dumps(result, indent=1) + "\n")

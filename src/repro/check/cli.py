@@ -3,14 +3,14 @@
 Subcommands::
 
     python -m repro.check fuzz [--cases N | --smoke | --seconds S]
-                               [--start-seed K] [--stress] [--turbo]
+                               [--start-seed K] [--stress]
                                [--hive] [--frontier] [--shard]
                                [--swarm] [--no-shrink]
-    python -m repro.check repro <seed> [--stress] [--turbo] [--hive]
+    python -m repro.check repro <seed> [--stress] [--hive]
                                        [--frontier] [--shard] [--swarm]
                                        [--mutation NAME]
     python -m repro.check repro --case '<json>' [--mutation NAME]
-    python -m repro.check mutants [--names a,b] [--budget N] [--turbo]
+    python -m repro.check mutants [--names a,b] [--budget N]
                                   [--hive] [--frontier] [--shard]
                                   [--swarm]
 
@@ -18,8 +18,8 @@ Subcommands::
 ladder, shrinking the first failure and exiting non-zero with a one-line
 repro command.  ``repro`` replays exactly one case.  ``mutants`` runs
 the mutation sanity suite: every registered hand-injected protocol bug
-must be caught within the per-mutation case budget — this is the check
-that the checker itself works.
+must be caught within the per-mutation case budget through both DFS
+loops — this is the check that the checker itself works.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.check.cases import case_from_seed
 from repro.check.differential import (
@@ -43,6 +43,12 @@ __all__ = ["main"]
 #: Per-mutation case budget for the sanity suite (stress cases are built
 #: to trigger steal traffic fast; most mutations die on the first case).
 MUTANT_CASE_BUDGET = 12
+
+#: The primary loops every mutation must be caught through.  A stress
+#: case as sampled carries a schedule perturbation, so its primary pass
+#: runs the generic event loop; the same case with the perturbation
+#: stripped runs the fused loop.
+MUTANT_PRIMARIES = ("generic", "fused")
 
 
 def _echo(msg: str) -> None:
@@ -63,7 +69,7 @@ def cmd_fuzz(args) -> int:
         if deadline is not None and time.monotonic() >= deadline:
             break
         case = case_from_seed(seed, stress=args.stress)
-        failure = check_case(case, stress=args.stress, turbo=args.turbo,
+        failure = check_case(case, stress=args.stress,
                              hive=args.hive, serve=args.serve,
                              frontier=args.frontier, shard=args.shard,
                              swarm=args.swarm)
@@ -99,7 +105,7 @@ def cmd_repro(args) -> int:
         return 2
     _echo(f"case: {case.describe()}")
     failure = check_case(case, mutation=args.mutation, stress=args.stress,
-                         turbo=args.turbo, hive=args.hive, serve=args.serve,
+                         hive=args.hive, serve=args.serve,
                          frontier=args.frontier, shard=args.shard,
                          swarm=args.swarm)
     if failure is None:
@@ -115,31 +121,35 @@ def cmd_repro(args) -> int:
 
 def run_mutant(name: str, *, budget: int = MUTANT_CASE_BUDGET,
                start_seed: int = 0,
-               turbo: bool = False,
                hive: bool = False,
                serve: bool = False,
                frontier: bool = False,
                shard: bool = False,
-               swarm: bool = False) -> Optional[CheckFailure]:
-    """Fuzz one mutation with stress cases; return its first detection.
+               swarm: bool = False) -> Dict[str, Optional[CheckFailure]]:
+    """Fuzz one mutation with stress cases through both DFS loops.
 
-    ``turbo=True`` runs the primary pass under the fused turbo loop;
-    ``hive=True`` adds the batched-lockstep differential rung.  Stress
-    cases always carry a schedule perturbation, under which both engines
-    fall back to the generic loop — so the perturbation is stripped
-    here to make the fused/batched paths actually execute the buggy
-    protocol.
+    Returns the first detection per primary loop, keyed by
+    :data:`MUTANT_PRIMARIES` (``None`` where ``budget`` seeds never
+    caught it).  Each seed's stress case runs as sampled (generic
+    primary) and with its perturbation stripped (fused primary); the
+    stripped variant is also the one the hive rung (``hive=True``) can
+    engage on.
     """
+    found: Dict[str, Optional[CheckFailure]] = dict.fromkeys(
+        MUTANT_PRIMARIES)
     for seed in range(start_seed, start_seed + budget):
         case = case_from_seed(seed, stress=True)
-        if turbo or hive:
-            case = case.with_(perturb_seed=None, jitter=0)
-        failure = check_case(case, mutation=name, stress=True, turbo=turbo,
-                             hive=hive, serve=serve, frontier=frontier,
-                             shard=shard, swarm=swarm)
-        if failure is not None:
-            return failure
-    return None
+        variants = {"generic": case,
+                    "fused": case.with_(perturb_seed=None, jitter=0)}
+        for primary, variant in variants.items():
+            if found[primary] is None:
+                found[primary] = check_case(
+                    variant, mutation=name, stress=True, hive=hive,
+                    serve=serve, frontier=frontier, shard=shard,
+                    swarm=swarm)
+        if all(found.values()):
+            break
+    return found
 
 
 def cmd_mutants(args) -> int:
@@ -151,26 +161,30 @@ def cmd_mutants(args) -> int:
             _echo(f"unknown mutation {name!r}; known: {sorted(MUTATIONS)}")
             return 2
         t0 = time.monotonic()
-        failure = run_mutant(name, budget=args.budget, turbo=args.turbo,
-                             hive=args.hive, serve=args.serve,
-                             frontier=args.frontier, shard=args.shard,
-                             swarm=args.swarm)
+        found = run_mutant(name, budget=args.budget,
+                           hive=args.hive, serve=args.serve,
+                           frontier=args.frontier, shard=args.shard,
+                           swarm=args.swarm)
         dt = time.monotonic() - t0
-        if failure is None:
-            missed.append(name)
-            _echo(f"MISSED {name}: not caught within {args.budget} cases "
-                  f"({dt:.1f}s) — the checker has a blind spot")
-        else:
-            _echo(f"caught {name} [{failure.stage}] seed={failure.case.seed} "
+        for primary in MUTANT_PRIMARIES:
+            failure = found[primary]
+            if failure is None:
+                missed.append(f"{name} ({primary})")
+                _echo(f"MISSED {name} through the {primary} loop: not "
+                      f"caught within {args.budget} cases ({dt:.1f}s) — "
+                      f"the checker has a blind spot")
+                continue
+            _echo(f"caught {name} through the {primary} loop "
+                  f"[{failure.stage}] seed={failure.case.seed} "
                   f"({dt:.1f}s): {failure.message.splitlines()[0]}")
             if args.verbose:
                 _echo(f"  repro: {failure.repro_command}")
     if missed:
-        _echo(f"mutation suite FAILED: {len(missed)}/{len(names)} "
-              f"undetected: {missed}")
+        _echo(f"mutation suite FAILED: {len(missed)} undetected "
+              f"(mutation, loop) pairs: {missed}")
         return 1
     _echo(f"mutation suite passed: {len(names)}/{len(names)} injected "
-          f"bugs detected")
+          f"bugs detected through both loops")
     return 0
 
 
@@ -194,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--stress", action="store_true",
                       help="bias cases toward maximum steal contention")
     fuzz.add_argument("--no-shrink", action="store_true")
-    fuzz.add_argument("--turbo", action="store_true",
-                      help="run the primary pass under the fused turbo loop")
     fuzz.add_argument("--hive", action="store_true",
                       help="add the batched-lockstep (hive) differential "
                            "rung on eligible cases")
@@ -227,10 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     repro = sub.add_parser("repro", help="replay one case by seed or spec")
     repro.add_argument("seed", type=int, nargs="?", default=None)
     repro.add_argument("--case", type=str, default=None,
-                       help="full JSON case spec (for shrunk cases)")
+                       help="full JSON case spec (for shrunk cases and "
+                            "stress cases with the perturbation stripped)")
     repro.add_argument("--stress", action="store_true")
-    repro.add_argument("--turbo", action="store_true",
-                       help="run the primary pass under the fused turbo loop")
     repro.add_argument("--hive", action="store_true",
                        help="add the batched-lockstep (hive) differential "
                             "rung")
@@ -251,13 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     mutants.add_argument("--names", type=str, default=None,
                          help="comma-separated subset (default: all)")
     mutants.add_argument("--budget", type=int, default=MUTANT_CASE_BUDGET)
-    mutants.add_argument("--turbo", action="store_true",
-                         help="run mutants under the fused turbo loop "
-                              "(perturbation stripped so turbo engages)")
     mutants.add_argument("--hive", action="store_true",
                          help="also run the batched-lockstep (hive) "
-                              "differential rung (perturbation stripped "
-                              "so the hive engages)")
+                              "differential rung (it engages on the "
+                              "fused-loop variant of each case)")
     mutants.add_argument("--serve", action="store_true",
                          help="run every mutant with the serve "
                               "differential rung active (injected bugs "

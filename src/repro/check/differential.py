@@ -10,24 +10,22 @@ fixed oracle ladder and reports the first failure (or None):
    (tree validity + visited/reachable equality);
 3. **serial reference** — visited set must equal
    :func:`~repro.validate.reference.serial_dfs`'s (the ground truth);
-4. **fastpath differential** — rerun with ``fastpath`` flipped; cycles,
-   steps, parent and visited must be bit-identical (the fast path
-   promises an *identical schedule*, not merely a correct one);
-5. **turbo differential** — rerun with ``turbo`` flipped; the fused
-   scheduler-agent loop (:mod:`repro.core.turbo`) promises the identical
-   schedule too, so cycles, steps, parent and visited must match
-   bit-for-bit (skipped where the fused loop cannot engage: perturbed
-   schedules and one-level stacks);
+4. **fastpath differential** — rerun with ``fastpath`` flipped (the
+   reference expand on the generic loop); cycles, steps, parent and
+   visited must be bit-identical (the fast path promises an *identical
+   schedule*, not merely a correct one);
+5. **fused vs generic** — rerun on the generic event loop through the
+   ``"heap"`` scheduler, which the fused loop declines; cycles, steps,
+   parent and visited must match bit-for-bit.  With a fused primary
+   this pins the fused loop against the reference engine; with a
+   generic primary (one-level stacks) it cross-checks the heap and
+   calendar drains (skipped under perturbation, which bypasses both);
 5b. **hive differential** (opt-in via ``hive=True``) — rerun the case as
    a two-run lockstep batch on the NumPy hive engine
    (:mod:`repro.core.hive`); every batched run must match the primary
    result bit-for-bit on cycles, steps, parent, visited *and* counters
-   (skipped where the hive cannot engage, same gates as turbo plus
+   (skipped where the hive cannot engage: the fused loop's gates plus
    hive eligibility);
-5c. **hive steal-path differential** (with 5b) — rerun the same batch
-   with ``hive_steal="scalar"``, pinning the per-lane scalar bailout
-   against the vectorized steal/refill/leader passes that 5b just
-   exercised; both engines must replay the primary's schedule exactly;
 5d. **serve differential** (opt-in via ``serve=True``) — send the case's
    DFS through a live :mod:`repro.serve` daemon (real socket, wire
    protocol, admission, cache); the served payload must equal the
@@ -59,10 +57,12 @@ fixed oracle ladder and reports the first failure (or None):
    ``bfs_levels``, and its parent tree must equal the independent
    min-parent oracle (undirected cases) — lane batching must never
    leak state across lanes;
-6. **scheduler differential** — heap vs calendar-queue rerun must agree
-   exactly (skipped under perturbation, which bypasses both);
-7. **PDFS baseline differential** — CKL-PDFS reachability on the same
+6. **PDFS baseline differential** — CKL-PDFS reachability on the same
    graph must match (skipped on larger cases; it is the slowest oracle).
+
+The primary run (stage 1) takes whichever loop ``run_diggerbees`` picks
+for the case: the fused loop (:mod:`repro.core.turbo`) for unperturbed
+two-level cases, the generic event loop otherwise.
 
 Every failure carries the one-line shell command that reproduces it
 deterministically (acceptance criterion: *"every failure the fuzzer
@@ -77,10 +77,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.check.cases import FuzzCase
+from repro.check.cases import FuzzCase, case_from_seed
 from repro.check.invariants import InvariantMonitor
 from repro.check.mutations import apply_mutation
 from repro.core.diggerbees import DiggerBeesResult, run_diggerbees
+from repro.core.turbo import turbo_eligible
 from repro.errors import ReproError
 from repro.validate.reference import serial_dfs
 from repro.validate.tree import validate_traversal
@@ -101,7 +102,6 @@ class CheckFailure:
     message: str        # first line of the underlying error / mismatch
     mutation: Optional[str] = None
     stress: bool = False
-    turbo: bool = False
     hive: bool = False
     serve: bool = False
     frontier: bool = False
@@ -112,15 +112,16 @@ class CheckFailure:
     def repro_command(self) -> str:
         """One-line shell command that reproduces this exact failure."""
         cmd = "python -m repro.check repro"
-        if self.case.shrunk_from is None:
+        if (self.case.shrunk_from is None
+                and self.case == case_from_seed(self.case.seed,
+                                                stress=self.stress)):
             cmd += f" {self.case.seed}"
         else:
-            # Shrunk cases are no longer seed-derivable: ship the full spec.
+            # Shrunk cases, and stress cases with the perturbation
+            # stripped, are no longer seed-derivable: ship the full spec.
             cmd += f" --case '{case_to_json(self.case)}'"
         if self.stress:
             cmd += " --stress"  # also selects the per-step sweep period
-        if self.turbo:
-            cmd += " --turbo"
         if self.hive:
             cmd += " --hive"
         if self.serve:
@@ -195,7 +196,7 @@ def run_monitored(case: FuzzCase, *, check_every: int = 64,
 
 
 def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
-               stress: bool = False, turbo: bool = False,
+               stress: bool = False,
                hive: bool = False, serve: bool = False,
                frontier: bool = False, shard: bool = False,
                swarm: bool = False,
@@ -206,11 +207,6 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
     applies the named injected bug for the whole ladder — used by the
     mutation sanity suite and by ``repro --mutation`` to replay a
     mutant's failure.
-
-    ``turbo`` runs the primary (monitored) pass with the fused turbo
-    loop; the turbo-differential rung then compares against the generic
-    engine instead of vice versa.  Bugs visible only under turbo are
-    caught either way, since both modes run on every eligible case.
 
     ``hive`` adds the batched-lockstep differential rung: the case is
     rerun as a two-run hive batch and every batched run must match the
@@ -255,15 +251,14 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
 
     def fail(stage: str, message: str) -> CheckFailure:
         return CheckFailure(case=case, stage=stage, message=str(message),
-                            mutation=mutation, stress=stress, turbo=turbo,
+                            mutation=mutation, stress=stress,
                             hive=hive, serve=serve, frontier=frontier,
                             shard=shard, swarm=swarm)
 
     with apply_mutation(mutation):
         # Stage 1: monitored run (invariant hooks + periodic sweep).
         try:
-            result = run_monitored(case, check_every=check_every,
-                                   turbo=turbo)
+            result = run_monitored(case, check_every=check_every)
         except ReproError as exc:
             return fail("invariants", f"{type(exc).__name__}: {exc}")
 
@@ -291,7 +286,7 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
         # must reproduce the *identical* schedule, not just a correct one.
         try:
             flipped = run_monitored(
-                case, check_every=check_every, turbo=turbo,
+                case, check_every=check_every,
                 fastpath=not case.build_config().fastpath,
             )
         except ReproError as exc:
@@ -315,34 +310,38 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                               result.traversal.visited):
             return fail("fastpath-diff", "visited arrays diverge")
 
-        # Stage 5: turbo differential — the fused scheduler-agent loop
-        # must replay the identical schedule.  Only runs where the fused
-        # loop can actually engage (two-level, unperturbed); elsewhere
-        # turbo falls back to the generic loop and the comparison would
-        # be a self-test.
-        if case.perturb_seed is None and case.two_level:
+        # Stage 5: fused vs generic — rerun on the generic event loop
+        # (the "heap" scheduler, which the fused loop declines).  A
+        # fused primary must replay the reference engine's schedule
+        # exactly; a generic primary cross-checks the heap and calendar
+        # drains.  Perturbed runs bypass both loops' drain order, so
+        # there is nothing to compare.
+        if case.perturb_seed is None:
+            fused = turbo_eligible(result.config)
+            stage = "fused-diff" if fused else "scheduler-diff"
             try:
-                fused = run_monitored(case, check_every=check_every,
-                                      turbo=not turbo)
+                generic = run_monitored(case, check_every=check_every,
+                                        scheduler="heap")
             except ReproError as exc:
-                return fail("turbo-diff", f"{type(exc).__name__}: {exc}")
-            if (fused.cycles != result.cycles
-                    or fused.engine.steps != result.engine.steps):
+                return fail(stage, f"{type(exc).__name__}: {exc}")
+            if (generic.cycles != result.cycles
+                    or generic.engine.steps != result.engine.steps):
                 return fail(
-                    "turbo-diff",
-                    f"fused loop diverges: cycles "
-                    f"{result.cycles}/{fused.cycles}, steps "
-                    f"{result.engine.steps}/{fused.engine.steps}")
-            if not np.array_equal(fused.traversal.parent,
+                    stage,
+                    f"{'fused' if fused else 'calendar'} loop diverges "
+                    f"from the generic heap loop: cycles "
+                    f"{result.cycles}/{generic.cycles}, steps "
+                    f"{result.engine.steps}/{generic.engine.steps}")
+            if not np.array_equal(generic.traversal.parent,
                                   result.traversal.parent):
                 diff = np.flatnonzero(
-                    fused.traversal.parent != result.traversal.parent)
-                return fail("turbo-diff",
+                    generic.traversal.parent != result.traversal.parent)
+                return fail(stage,
                             f"parent arrays diverge at {diff.size} vertices "
                             f"(e.g. {diff[:5].tolist()})")
-            if not np.array_equal(fused.traversal.visited,
+            if not np.array_equal(generic.traversal.visited,
                                   result.traversal.visited):
-                return fail("turbo-diff", "visited arrays diverge")
+                return fail(stage, "visited arrays diverge")
 
         # Stage 5b: hive differential — the batched lockstep engine must
         # replay the identical schedule for every run in a batch.  A
@@ -388,45 +387,6 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                             f"lockstep run {i}: counters diverge "
                             f"({', '.join(keys)})")
 
-                # Stage 5c: hive steal-path differential — the batched
-                # steal/refill/leader passes (hive_steal="vector", the
-                # default above) against the per-lane scalar bailout.
-                # Both must replay the primary's schedule exactly, so
-                # any drift in the vectorized CAS/transfer/cost logic
-                # surfaces as a cycles/steps/counter mismatch here.
-                sconfig = hconfig.with_overrides(hive_steal="scalar")
-                try:
-                    spair = run_hive(graph, [(case.root, sconfig)] * 2)
-                except ReproError as exc:
-                    return fail("hive-steal-diff",
-                                f"{type(exc).__name__}: {exc}")
-                for i, hres in enumerate(spair):
-                    if (hres.cycles != result.cycles
-                            or hres.engine.steps != result.engine.steps):
-                        return fail(
-                            "hive-steal-diff",
-                            f"scalar-steal run {i} diverges: cycles "
-                            f"{result.cycles}/{hres.cycles}, steps "
-                            f"{result.engine.steps}/{hres.engine.steps}")
-                    if not np.array_equal(hres.traversal.parent,
-                                          result.traversal.parent):
-                        return fail(
-                            "hive-steal-diff",
-                            f"scalar-steal run {i}: parent arrays diverge")
-                    if not np.array_equal(hres.traversal.visited,
-                                          result.traversal.visited):
-                        return fail(
-                            "hive-steal-diff",
-                            f"scalar-steal run {i}: visited arrays diverge")
-                    if vars(hres.counters) != vars(result.counters):
-                        keys = sorted(
-                            k for k, v in vars(result.counters).items()
-                            if vars(hres.counters).get(k) != v)
-                        return fail(
-                            "hive-steal-diff",
-                            f"scalar-steal run {i}: counters diverge "
-                            f"({', '.join(keys)})")
-
         # Stage 5d: serve differential — the daemon-served payload must
         # equal the canonical payload of the direct run.  The oracle
         # daemon executes in this process (jobs=0), so the mutation
@@ -437,7 +397,7 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
             from repro.serve.protocol import dfs_result_to_dict
 
             expected = dfs_result_to_dict(result)
-            overrides = asdict(case.build_config(turbo=turbo))
+            overrides = asdict(case.build_config())
             mutated = mutation is not None
             try:
                 served, was_cached = serve_oracle().query_dfs(
@@ -545,7 +505,7 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
             from repro.core.shard import run_sharded
             from repro.graphs.properties import bfs_levels
 
-            sconfig = case.build_config(turbo=turbo)
+            sconfig = case.build_config()
             sharded = {}
             for kk in (2, 4):
                 try:
@@ -698,26 +658,7 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                         f"parent diverges from the min-parent oracle at "
                         f"{diff.size} vertices (e.g. {diff[:5].tolist()})")
 
-        # Stage 6: scheduler differential (heap vs calendar queue).
-        # Perturbed runs use the dedicated perturbation loop, which
-        # bypasses the scheduler choice entirely — nothing to compare.
-        if case.perturb_seed is None:
-            other = ("calendar"
-                     if case.build_config().scheduler == "heap" else "heap")
-            try:
-                swapped = run_monitored(case, check_every=check_every,
-                                        scheduler=other)
-            except ReproError as exc:
-                return fail("scheduler-diff", f"{type(exc).__name__}: {exc}")
-            if (swapped.cycles != result.cycles
-                    or swapped.engine.steps != result.engine.steps):
-                return fail(
-                    "scheduler-diff",
-                    f"schedulers diverge: heap/calendar cycles "
-                    f"{result.cycles}/{swapped.cycles}, steps "
-                    f"{result.engine.steps}/{swapped.engine.steps}")
-
-        # Stage 7: CPU PDFS baseline (reachability oracle, small cases).
+        # Stage 6: CPU PDFS baseline (reachability oracle, small cases).
         if graph.n_vertices <= PDFS_MAX_VERTICES:
             from repro.baselines.pdfs_cpu import run_ckl_pdfs
             try:

@@ -84,10 +84,10 @@ def shrink_case(
                 continue  # transformation was a no-op
             evals += 1
             result = check_case(candidate, mutation=failure.mutation,
-                                stress=failure.stress, turbo=failure.turbo,
+                                stress=failure.stress,
                                 hive=failure.hive, serve=failure.serve,
                                 frontier=failure.frontier,
-                                shard=failure.shard)
+                                shard=failure.shard, swarm=failure.swarm)
             if result is not None:
                 current = candidate
                 best = result

@@ -22,7 +22,7 @@ from repro.sim.device import DeviceSpec, H100, hotring_smem_bytes
 from repro.sim.engine import SCHEDULERS
 
 __all__ = ["DiggerBeesConfig", "ServeConfig", "SHARD_MIN_VERTICES",
-           "VICTIM_POLICIES", "HIVE_STEAL_MODES"]
+           "VICTIM_POLICIES"]
 
 #: Smallest resident graph the serve daemon will answer with the
 #: sharded tier (``ServeConfig.shards >= 2``).  Below this, partition +
@@ -31,8 +31,6 @@ __all__ = ["DiggerBeesConfig", "ServeConfig", "SHARD_MIN_VERTICES",
 SHARD_MIN_VERTICES = 1024
 
 VICTIM_POLICIES = ("two_choice", "random")
-
-HIVE_STEAL_MODES = ("vector", "scalar")
 
 
 @dataclass(frozen=True)
@@ -80,23 +78,15 @@ class DiggerBeesConfig:
     scheduler:
         Event-loop implementation: ``"auto"`` (default, the bucketed
         calendar queue), ``"calendar"``, or ``"heap"``.  All produce
-        bit-for-bit identical schedules; the knob exists so the golden
-        determinism tests can cross-check them.
+        bit-for-bit identical schedules.  Calendar runs take the fused
+        loop (:mod:`repro.core.turbo`) whenever the config allows it;
+        ``"heap"`` always runs the generic event loop, which is how the
+        golden tests and the oracle ladder reach the reference engine.
     fastpath:
         Use the vectorized expand fast path in :class:`WarpAgent`
-        (default).  ``False`` selects the reference NumPy implementation;
-        both produce identical cycles, steps, and DFS trees — the golden
-        determinism tests assert it.
-    turbo:
-        Fuse the calendar-queue drain and the :class:`WarpAgent`
-        expand/pop state machine into one monomorphic inner loop
-        (:func:`repro.core.turbo.run_turbo`).  Bit-identical cycles,
-        steps, counters, and traversal output to the fast path (the
-        ``repro.check`` oracle ladder has a dedicated turbo rung).  The
-        fused loop only engages for the homogeneous two-level fastpath
-        case with no schedule perturbation; otherwise the run silently
-        falls back to the generic event loop, so ``turbo=True`` is always
-        safe to set.
+        (default).  ``False`` selects the reference NumPy implementation
+        on the generic event loop; both produce identical cycles, steps,
+        and DFS trees — the golden determinism tests assert it.
     perturb_seed / jitter:
         Schedule-fuzzing knobs (``repro.check``): with ``perturb_seed``
         set the engine drains same-cycle events in a seeded random order
@@ -109,15 +99,6 @@ class DiggerBeesConfig:
         victim (seeded by ``seed``) instead of the deterministic
         max-depth victim, widening the set of steal interleavings the
         fuzzer can reach.  Off in production runs.
-    hive_steal:
-        Steal-protocol execution tier of the hive batch engine
-        (:mod:`repro.core.hive`): ``"vector"`` (default) runs refills,
-        two-phase steal reservations and inter-block leader work as
-        batched NumPy passes over the shared slabs; ``"scalar"`` keeps
-        the original per-lane ``step()`` bailout.  Both are
-        bit-identical — the scalar mode is retained as the differential
-        oracle for the vectorized protocol (``repro.check``'s
-        hive-steal-diff rung).  Ignored outside the hive engine.
     """
 
     n_blocks: int = 4
@@ -139,11 +120,9 @@ class DiggerBeesConfig:
     max_cycles: int = 200_000_000_000
     scheduler: str = "auto"
     fastpath: bool = True
-    turbo: bool = False
     perturb_seed: Optional[int] = None
     jitter: int = 0
     adversarial_victims: bool = False
-    hive_steal: str = "vector"
 
     def __post_init__(self) -> None:
         if self.n_blocks < 1:
@@ -195,11 +174,6 @@ class DiggerBeesConfig:
             raise SimulationError(
                 f"cold_reserve ({self.cold_reserve}) must be >= cold_cutoff "
                 f"({self.cold_cutoff})"
-            )
-        if self.hive_steal not in HIVE_STEAL_MODES:
-            raise SimulationError(
-                f"hive_steal must be one of {HIVE_STEAL_MODES}, "
-                f"got {self.hive_steal!r}"
             )
         if self.jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {self.jitter}")
@@ -302,20 +276,21 @@ class ServeConfig:
 
     Lives next to :class:`DiggerBeesConfig` because the admission layer
     is an engine-level concern: the window/max-batch pair decides how
-    concurrent DFS queries coalesce into :mod:`repro.core.hive` lockstep
-    batches, which is the same trade (amortized per-tick cost vs. added
-    latency) the hive engine itself makes over sweep shards.
+    concurrent swarm-resolved queries coalesce into one
+    :mod:`repro.core.swarm` lockstep batch, trading amortized per-level
+    cost against added latency.  Every other query — DFS, frontier,
+    shard and the app ops — launches the moment it is admitted.
 
     Parameters
     ----------
     batch_window:
-        Seconds a newly opened admission group waits for companions
-        before it is flushed to execution.  ``0`` disables coalescing:
-        every query runs the moment it arrives (the lowest-latency,
-        lowest-throughput setting).
+        Seconds a newly opened swarm admission group waits for
+        companions before it is flushed to execution.  ``0`` disables
+        coalescing: every query runs the moment it arrives (the
+        lowest-latency, lowest-throughput setting).
     max_batch:
-        Hard cap on requests per hive batch; a group flushes immediately
-        when it fills, without waiting out the window.
+        Hard cap on requests per swarm batch; a group flushes
+        immediately when it fills, without waiting out the window.
     jobs:
         Worker processes for query execution.  ``0`` executes in the
         daemon process (thread executor) — no pickling, no shared
@@ -334,7 +309,7 @@ class ServeConfig:
         abandoning them.
     backend:
         Traversal backend for DFS queries: ``"dfs"`` (default) answers
-        every query with the DFS simulation tiers exactly as before;
+        every query with the DFS simulation (:func:`run_diggerbees`);
         ``"frontier"`` forces the bit-packed frontier engine
         (:mod:`repro.core.frontier`); ``"swarm"`` forces the
         lane-batched swarm tier (:mod:`repro.core.swarm`) — a whole

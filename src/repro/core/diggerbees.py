@@ -118,8 +118,10 @@ def run_diggerbees(
         for w in range(config.warps_per_block)
     ]
     if turbo_eligible(config):
-        # Fused scheduler-agent hot loop: bit-identical EngineResult,
-        # counters, and traversal output (see repro.core.turbo).
+        # The execution path: the fused scheduler-agent loop.  The
+        # generic EventLoop below is the fallback for configs it cannot
+        # fuse and the reference it is checked against; both produce
+        # the same EngineResult, counters and traversal bit for bit.
         engine = run_turbo(
             state, agents, max_cycles=config.max_cycles, on_step=on_step,
         )
@@ -148,7 +150,7 @@ def package_result(state: RunState, engine: EngineResult, *,
                    record_order: bool = False) -> DiggerBeesResult:
     """Package a drained run into a :class:`DiggerBeesResult`.
 
-    Shared by every execution tier (generic engine, turbo, hive): the
+    Shared by every execution tier (fused loop, generic engine, hive): the
     pending-entry sanity check, traversal assembly, and simulated-time
     conversion are identical, so the tiers produce identical results by
     construction.

@@ -5,7 +5,7 @@ graphs (few levels, huge frontiers) and collapses on deep ones (every
 level pays a launch, and there are thousands); hierarchical work-
 stealing DFS is the mirror image.  :func:`choose_backend` turns that
 into a routing policy over the engine families this repo actually
-has — the DFS simulation tiers (``"dfs"``: fastpath/turbo/hive), the
+has — the DFS simulation (``"dfs"``: :func:`run_diggerbees`), the
 bit-packed single-root frontier engine (``"frontier"``,
 :mod:`repro.core.frontier`), and the lane-batched swarm frontier
 (``"swarm"``, :mod:`repro.core.swarm`, eligible only when the caller

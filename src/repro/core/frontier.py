@@ -1,10 +1,11 @@
 """Linear-algebra BFS: bit-packed frontiers advanced by masked gathers.
 
-This is the repo's third engine family, after the DFS simulation tiers
-(fastpath / turbo / hive): a *real* level-synchronous traversal in the
-GraphBLAST/BLEST mold.  The frontier and visited sets are bit-packed
-``uint64`` vectors (:mod:`repro.core.bitset`); one level advance is a
-masked gather over the CSR arrays — semantically the masked SpMV
+This engine family sits beside the DFS simulation
+(:func:`repro.core.diggerbees.run_diggerbees`): a *real*
+level-synchronous traversal in the GraphBLAST/BLEST mold.  The
+frontier and visited sets are bit-packed ``uint64`` vectors
+(:mod:`repro.core.bitset`); one level advance is a masked gather over
+the CSR arrays — semantically the masked SpMV
 ``next = A^T x_frontier .* ~visited`` with the min-parent semiring —
 with direction-optimizing push/pull switching on frontier density
 (Beamer's bottom-up heuristic).

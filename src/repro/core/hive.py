@@ -1,8 +1,9 @@
 """Hive engine: NumPy-batched lockstep execution of many simulations.
 
 Every figure-shaped workload is a *sweep*: dozens to hundreds of
-independent ``(graph, root, config)`` runs.  The turbo fused loop
-removes per-event dispatch overhead inside one run but still pays the
+independent ``(graph, root, config)`` runs.  The fused loop
+(:mod:`repro.core.turbo`) removes per-event dispatch overhead inside
+one run but still pays the
 full Python interpreter cost per run per event.  The hive engine
 vectorizes one level up — over the **batch of simulations** — the way
 GraphBLAST/Gunrock vectorize over a frontier: B independent runs
@@ -35,11 +36,10 @@ it.  Per engine tick:
 4. **Vector execution** — expands run as grouped gathers/scatters over
    the batch axis (window scan via one ``(k, W)`` visited gather, with
    ``W`` capped at the tick's widest remaining window); polls update
-   masks/backoffs in bulk.  With ``config.hive_steal="vector"`` (the
-   default) the protocol families run as three more batched passes —
-   see *Vectorized steal protocol* below.  With ``"scalar"`` (the
-   differential oracle) they run the agent's generic ``step()``
-   exactly like turbo's fallback.
+   masks/backoffs in bulk.  The protocol families run as three more
+   batched passes — see *Vectorized steal protocol* below — unless the
+   drain is instrumented, in which case they run the agent's generic
+   ``step()`` exactly like the fused loop's fallback.
 5. **Reschedule** — every selected agent is rescheduled at
    ``now + cost`` with the run's next sequence number.
 
@@ -69,11 +69,11 @@ impossible and each protocol family groups into plain array passes:
   next tick, exactly the scalar conflict-resolution rule.
 
 The passes replicate the scalar agent's costs, counters, RNG streams,
-and pointer motion bit-for-bit; ``repro.check``'s hive-steal-diff rung
-asserts it per run.  Any patched protocol function (the mutation
-suite), attached monitor, or adversarial fuzz RNG routes the protocol
-families back through the scalar fallback for the whole drain, so
-instrumented semantics are preserved.
+and pointer motion bit-for-bit; ``repro.check``'s hive-diff rung
+asserts it per run against the reference engine.  Any patched protocol
+function (the mutation suite), attached monitor, or adversarial fuzz
+RNG routes the protocol families back through the scalar per-lane
+bailout for the whole drain, so instrumented semantics are preserved.
 
 Bit-exactness contract
 ----------------------
@@ -82,14 +82,15 @@ tick executes exactly one event per active run in that run's own
 ``(ready_at, seq)`` order with termination polled before it — i.e. the
 hive engine *is* the calendar drain of each run, interleaved.  Costs,
 counters, error messages, and traversal output are bit-for-bit
-identical to turbo (and the generic engine) for every run regardless
-of batch composition.  The differential ladder's hive rung and the
-batch-vs-turbo tests assert this per run at several batch sizes.
+identical to the fused loop (and the generic engine) for every run
+regardless of batch composition.  The differential ladder's hive rung
+and the batch-vs-single-run tests assert this per run at several batch
+sizes.
 
-Eligibility mirrors turbo minus the ``turbo`` flag itself (the batch
-engine is an explicit opt-in tier): two-level stacks, expand fast
-path, no schedule perturbation, calendar scheduler, and no tracing
-(per-event trace logs are inherently scalar).
+Eligibility mirrors the fused loop's (the batch engine is an explicit
+opt-in tier): two-level stacks, expand fast path, no schedule
+perturbation, calendar scheduler, and no tracing (per-event trace logs
+are inherently scalar).
 """
 
 from __future__ import annotations
@@ -156,8 +157,7 @@ def _protocol_patched() -> bool:
 def hive_eligible(config: DiggerBeesConfig) -> bool:
     """True when the hive engine can run ``config`` bit-identically.
 
-    Same gate as ``turbo_eligible`` except the ``turbo`` flag itself is
-    irrelevant (hive is its own dispatch tier) and tracing is excluded:
+    Same gate as ``turbo_eligible`` except that tracing is excluded:
     the vector expand cannot append per-event trace records.
     """
     return (config.fastpath and config.two_level
@@ -189,15 +189,15 @@ def run_hive(
     mutually compatible configs (equal modulo ``seed``).  ``batch``
     caps the lockstep width; ``None`` runs the whole task list as one
     batch.  Results come back in task order and are bit-identical to
-    ``run_diggerbees`` / turbo per task.
+    ``run_diggerbees`` per task.
 
     ``stats``, when given a dict, receives execution-path accounting
     summed over all batches: ``events_total``, ``events_fallback``
     (events routed through the scalar per-agent step), the vectorized
     protocol pass totals (``vector_refills``, ``vector_steal_selects``,
     ``vector_reserves_intra``, ``vector_reserves_inter``), and the
-    derived ``fallback_lane_fraction``.  Under ``hive_steal="vector"``
-    on an unpatched run the fallback fraction is 0.0; the micro-bench
+    derived ``fallback_lane_fraction``.  On an uninstrumented run the
+    fallback fraction is 0.0; the micro-bench
     records it per case so a silent fallback regression is visible.
 
     Failure semantics: any run raising (over-budget, deadlock,
@@ -247,8 +247,9 @@ def _run_batch(graph, tasks, device, stats=None) -> List[DiggerBeesResult]:
             for b in range(cfg.n_blocks)
             for w in range(cfg.warps_per_block)
         ])
-    # Pause cyclic GC for the drain, exactly like turbo: the batch state
-    # is millions of container objects and the loop allocates no cycles.
+    # Pause cyclic GC for the drain, exactly like the fused loop: the
+    # batch state is millions of container objects and the loop
+    # allocates no cycles.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -318,8 +319,7 @@ def _drain_batch(slabs: BatchSlabs, states: List[RunState],
     # StackOverflowError; keep that behaviour byte-for-byte).
     claims_patched = type(states[0]).try_claim_vertex is not _ORIG_CLAIM
     vector_protocol = (
-        config.hive_steal == "vector"
-        and states[0].monitor is None
+        states[0].monitor is None
         and states[0].fuzz_rng is None
         and not _protocol_patched()
         and (not intra or intra_amount <= H - 1)

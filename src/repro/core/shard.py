@@ -3,9 +3,10 @@
 This lifts the paper's inter-block steal protocol one level up.  A
 :class:`~repro.graphs.partition.PartitionedCSR` splits the graph into
 ``k`` balanced districts (:mod:`repro.graphs.partition`); each district
-runs its own DiggerBees engine (turbo/fastpath, selected exactly as in
-:func:`repro.core.diggerbees.run_diggerbees`) over the *unvisited* part
-of its subgraph, and a message-passing round protocol over the cut-edge
+runs its own DiggerBees engine
+(:func:`repro.core.diggerbees.run_diggerbees`, so the fused loop
+wherever the config allows it) over the *unvisited* part of its
+subgraph, and a message-passing round protocol over the cut-edge
 halo tables replaces inter-block leader steals at the top level:
 
 1. **Round** — every district holding activation roots runs one engine

@@ -30,12 +30,14 @@ The fused loop replays the calendar scheduler's event order exactly
 event) and charges identical costs, so cycles, steps, counters, traces,
 and traversal output are bit-for-bit equal to the generic engine on both
 schedulers.  The golden determinism tests and the ``repro.check`` oracle
-ladder's turbo rung assert this on every run.
+ladder's fused-vs-generic rung assert this on every run.
 
 Eligibility: the loop only understands the homogeneous two-level
-fastpath grid with no schedule perturbation; ``turbo_eligible`` gates
-dispatch and :func:`repro.core.diggerbees.run_diggerbees` silently falls
-back to the generic engine otherwise, so ``turbo=True`` is always safe.
+fastpath grid with no schedule perturbation.  ``turbo_eligible`` gates
+dispatch: :func:`repro.core.diggerbees.run_diggerbees` runs every
+eligible config through the fused loop and everything else through the
+generic engine, which also stays the reference the oracle ladder
+compares the fused loop against.
 """
 
 from __future__ import annotations
@@ -63,11 +65,11 @@ def turbo_eligible(config) -> bool:
     Requirements: two-level stacks (the loop addresses HotRings through
     the SoA slabs), the expand fast path (the inline transitions mirror
     it), no schedule perturbation (the fuzzer's randomized drain order
-    cannot be fused), and not the explicit ``"heap"`` scheduler (that
-    knob exists so golden tests can cross-check the heap drain; turbo
-    replays the calendar order).
+    cannot be fused), and not the explicit ``"heap"`` scheduler (the
+    fused loop replays the calendar order; ``"heap"`` is how callers
+    reach the generic reference loop).
     """
-    return (config.turbo and config.fastpath and config.two_level
+    return (config.fastpath and config.two_level
             and config.perturb_seed is None and config.scheduler != "heap")
 
 

@@ -1,12 +1,13 @@
-"""Admission policy: coalesce concurrent queries into hive batches.
+"""Admission policy: coalesce concurrent swarm queries into batches.
 
-The daemon's throughput comes from the same observation as the hive
-engine's (:mod:`repro.core.hive`): B independent DFS runs over one graph
-cost far less than B times one run when they advance in lockstep.  The
-admission layer therefore holds each arriving DFS query briefly —
-``batch_window`` seconds — hoping more queries for the same (graph,
-engine-config) key arrive, and flushes the group to execution when the
-window expires or ``max_batch`` fills, whichever comes first.
+The daemon coalesces only the work that gets cheaper per root when it
+runs together: swarm-resolved DFS queries, which execute as one
+lockstep :func:`repro.core.swarm.run_swarm` batch whose per-root cost
+falls with the lane count.  The admission layer holds each arriving
+swarm query briefly — ``batch_window`` seconds — hoping more queries
+for the same (graph, engine-config, backend) key arrive, and flushes
+the group to execution when the window expires or ``max_batch`` fills,
+whichever comes first.  Every other query launches at admit.
 
 This module is the *pure* policy core: no clocks, no asyncio, no I/O.
 Time enters exclusively through the ``now`` arguments, which makes every
@@ -19,8 +20,8 @@ with synthetic schedules and asserts the three contract properties:
 * **conservation** — every admitted item is flushed exactly once, in
   arrival order within its key, never mixed across keys;
 * **invariance** — responses do not depend on the (jobs, batch, window)
-  execution shape, because batching only ever groups hive-compatible
-  work (the hive engine is bit-identical per run for any batch width).
+  execution shape, because every swarm lane is bit-identical to the
+  single-root frontier answer for any batch width.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Batch:
     key: Hashable          # grouping key: (graph, canonical engine config)
     items: Tuple[Any, ...]  # admitted items, in arrival order
     opened: float          # arrival time of the first item
-    reason: str            # "full" | "window" | "drain"
+    reason: str            # "full" | "window" | "drain" | "admit"
 
 
 @dataclass

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None,
                    help="batch window in seconds")
     p.add_argument("--max-batch", type=int, default=None,
-                   help="max queries coalesced into one hive batch")
+                   help="max queries coalesced into one swarm batch")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (0 = in-daemon threads)")
     p.add_argument("--cache-entries", type=int, default=None,

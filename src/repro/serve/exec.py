@@ -9,7 +9,7 @@ as the graphs themselves.
 
 Failure semantics: *query* failures — an over-budget simulation, a
 toposort on a cyclic graph, an out-of-range root — are returned as
-per-task error markers so one bad query in a hive batch cannot poison
+per-task error markers so one bad query in a swarm batch cannot poison
 its neighbours or look like an infrastructure fault.  Infrastructure
 failures (dangling shm segment, broken pool) raise, and the daemon's
 dispatch layer degrades: re-export, pickle, or in-process execution.
@@ -82,27 +82,18 @@ def _dfs(graph, root: int, overrides) -> Dict[str, Any]:
     return dfs_result_to_dict(res)
 
 
-def _frontier(graph, root: int, overrides) -> Dict[str, Any]:
+def _frontier(graph, root: int, overrides):
     # Overrides are validated (bad configs must fail their own request)
     # but don't parameterize the frontier engine: under "auto" routing a
     # query with overrides is pinned to DFS before it gets here, and a
     # forced-frontier daemon answers every DFS query with the one
-    # deterministic min-parent tree.
+    # deterministic min-parent tree.  A single swarm-resolved query runs
+    # here too: a one-lane swarm gives the same answer at several times
+    # the cost, so only the payload's backend marker says "swarm".
     build_engine_config(overrides)
     from repro.core.frontier import run_frontier
 
-    return frontier_result_to_dict(run_frontier(graph, root))
-
-
-def _swarm_single(graph, root: int, overrides) -> Dict[str, Any]:
-    # One-lane swarm: bit-identical to _frontier except for the backend
-    # marker.  Used when a swarm-resolved admission group flushes with a
-    # single query (narrow traffic inside the window).
-    build_engine_config(overrides)
-    from repro.core.swarm import run_swarm
-
-    return frontier_result_to_dict(run_swarm(graph, [root])[0],
-                                   backend="swarm")
+    return run_frontier(graph, root)
 
 
 def _scc(graph, root: int, overrides) -> Dict[str, Any]:
@@ -189,10 +180,9 @@ def execute_query(wire_graph, op: str, root: int,
         if root < 0 or root >= graph.n_vertices:
             raise ProtocolError(
                 f"root {root} out of range for {graph.n_vertices} vertices")
-        if op == "dfs" and backend == "frontier":
-            return _frontier(graph, root, overrides)
-        if op == "dfs" and backend == "swarm":
-            return _swarm_single(graph, root, overrides)
+        if op == "dfs" and backend in ("frontier", "swarm"):
+            return frontier_result_to_dict(
+                _frontier(graph, root, overrides), backend=backend)
         return _EXECUTORS[op](graph, root, overrides)
     except ReproError as exc:
         return _error_marker(exc)
@@ -204,7 +194,14 @@ def execute_query(wire_graph, op: str, root: int,
 
 def _swarm_batch(graph, tasks: List[Tuple[int, Optional[Dict[str, Any]]]]
                  ) -> List[Dict[str, Any]]:
-    """One lockstep swarm over every valid task; markers for the rest."""
+    """One lockstep swarm over every valid task; markers for the rest.
+
+    A single task runs on the frontier engine instead (see
+    :func:`_frontier`): same payload, without the lane overhead.
+    """
+    if len(tasks) == 1:
+        root, ov = tasks[0]
+        return [execute_query(graph, "dfs", root, ov, backend="swarm")]
     from repro.core.swarm import run_swarm
 
     out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -248,38 +245,25 @@ def execute_dfs_batch(wire_graph,
                       tasks: List[Tuple[int, Optional[Dict[str, Any]]]],
                       backend: str = "dfs", shards: int = 0,
                       shard_jobs: int = 0) -> List[Dict[str, Any]]:
-    """Execute ``[(root, config-overrides), ...]`` DFS queries, batched.
-
-    Hive-eligible, mutually compatible tasks run as one
-    :func:`repro.core.hive.run_hive` lockstep batch; anything else — and
-    any batch a run aborts (the hive propagates one run's failure to its
-    whole batch, but service responses must fail per *request*) — falls
-    back to per-task scalar execution.  Per-task results are identical
-    either way; the batch's width is reported by the daemon, not here.
-
-    ``backend="frontier"`` answers every task with the frontier engine
-    instead (admission never mixes backends in one batch, so the whole
-    batch shares the resolved backend); frontier runs are per-root
-    array passes with no lockstep analogue, so the batch is a loop.
+    """Execute ``[(root, config-overrides), ...]`` DFS queries.
 
     ``backend="swarm"`` runs every valid task as one lane of a single
-    :func:`repro.core.swarm.run_swarm` lockstep batch — the frontier
-    analogue of the hive path.  Tasks with a bad config or root settle
-    as per-task error markers; the remaining lanes still swarm
-    together, and each lane's payload is bit-identical to the
-    single-root frontier answer (modulo the ``backend`` marker).
+    :func:`repro.core.swarm.run_swarm` lockstep batch — the one backend
+    the daemon coalesces.  Tasks with a bad config or root settle as
+    per-task error markers; the remaining lanes still swarm together,
+    and each lane's payload is bit-identical to the single-root
+    frontier answer (modulo the ``backend`` marker).
 
-    ``backend="shard"`` answers every task with the sharded tier
+    Every other backend answers task by task: ``"dfs"`` runs the
+    simulation (:func:`repro.core.diggerbees.run_diggerbees`),
+    ``"frontier"`` the frontier engine, and ``"shard"`` the sharded tier
     (:func:`repro.core.shard.run_sharded`, ``k = shards`` districts,
-    ``jobs = shard_jobs`` concurrent district workers).  Shard batches
+    ``jobs = shard_jobs`` concurrent district workers).  Shard tasks
     always execute in the daemon process — the shard tier leases the
-    worker pool itself, one engine per district, so shipping the batch
+    worker pool itself, one engine per district, so shipping the task
     to a pool worker would nest pools.
     """
     graph = _resolve(wire_graph)
-    if backend == "frontier":
-        return [execute_query(graph, "dfs", root, ov, backend="frontier")
-                for root, ov in tasks]
     if backend == "swarm":
         return _swarm_batch(graph, tasks)
     if backend == "shard":
@@ -294,26 +278,5 @@ def execute_dfs_batch(wire_graph,
             except ReproError as exc:
                 out.append(_error_marker(exc))
         return out
-    n = graph.n_vertices
-    try:
-        configs = [build_engine_config(ov) for _, ov in tasks]
-    except ReproError:
-        # At least one bad config: settle every task individually.
-        return [execute_query(graph, "dfs", root, ov) for root, ov in tasks]
-    roots_ok = all(0 <= root < n for root, _ in tasks)
-
-    if len(tasks) > 1 and roots_ok:
-        from repro.core.hive import hive_compatible, hive_eligible, run_hive
-
-        base = configs[0]
-        if (all(hive_eligible(c) for c in configs)
-                and all(hive_compatible(base, c) for c in configs[1:])):
-            try:
-                results = run_hive(
-                    graph, [(root, cfg)
-                            for (root, _), cfg in zip(tasks, configs)])
-                return [dfs_result_to_dict(r) for r in results]
-            except ReproError:
-                pass  # settle per task below for per-request errors
-
-    return [execute_query(graph, "dfs", root, ov) for root, ov in tasks]
+    return [execute_query(graph, "dfs", root, ov, backend=backend)
+            for root, ov in tasks]

@@ -24,7 +24,8 @@ Response fields
 ``result``       op result payload (see the ``*_result`` helpers)
 ``error``        ``{"type", "message"}`` when ``ok`` is false
 ``cached``       result came from the per-graph memo
-``batch``        lockstep width of the hive batch that computed it
+``batch``        lockstep width of the swarm batch that computed it
+                 (1 for every query that runs alone)
 ``elapsed_ms``   daemon-side time from admission to completion
 
 The result payloads are **canonical**: every array is a plain list,

@@ -6,19 +6,21 @@ Architecture (one process, one event loop):
   local (Unix-domain) stream socket.  Requests are admitted as they
   arrive; responses are written as results complete, so a connection
   may receive them out of request order (clients correlate by ``id``).
-* **Admission** — DFS queries are grouped by (graph, canonical engine
-  config, resolved backend) in a
-  :class:`~repro.serve.admission.BatchPolicy`; a group
-  flushes to execution when its ``batch_window`` expires or it reaches
-  ``max_batch``.  Identical in-flight queries additionally coalesce
-  into one execution ("single-flight"), so a thundering herd of the
-  same query costs one simulation.
-* **Execution** — flushed batches run through
-  :func:`repro.serve.exec.execute_dfs_batch` (hive lockstep where
-  eligible) either in-process (``jobs = 0``) or on the persistent
-  worker pool of :mod:`repro.bench.harness` with zero-copy shm graph
-  hand-off.  Infrastructure failures degrade stepwise — broken pool ->
-  fresh pool -> pickled graph -> in-process — and every demotion is
+* **Admission** — swarm-resolved DFS queries are grouped by (graph,
+  canonical engine config, resolved backend) in a
+  :class:`~repro.serve.admission.BatchPolicy`; a group flushes to
+  execution when its ``batch_window`` expires or it reaches
+  ``max_batch``.  Every other query (DFS, frontier, shard, app ops)
+  launches the moment it is admitted.  Identical in-flight queries
+  additionally coalesce into one execution ("single-flight"), so a
+  thundering herd of the same query costs one simulation.
+* **Execution** — DFS-family work runs through
+  :func:`repro.serve.exec.execute_dfs_batch` (one lockstep swarm per
+  flushed swarm group, one run per query otherwise) either in-process
+  (``jobs = 0``) or on the persistent worker pool of
+  :mod:`repro.bench.harness` with zero-copy shm graph hand-off.
+  Infrastructure failures degrade stepwise — broken pool -> fresh
+  pool -> pickled graph -> in-process — and every demotion is
   counted in ``stats``; a query is answered wrong never, slower at
   worst.
 * **Caching** — results are memoized per graph
@@ -70,7 +72,7 @@ class ServerStats:
     FIELDS = (
         "connections", "requests", "responses", "errors",
         "cache_hits", "cache_misses", "coalesced",
-        "batches", "batched_queries", "hive_batches",
+        "batches", "batched_queries", "swarm_batches",
         "backend_dfs", "backend_frontier", "backend_swarm",
         "backend_shard",
         "pool_broken", "shm_fallbacks", "inline_fallbacks",
@@ -373,8 +375,8 @@ class ServeServer:
         forced knobs never pay it.  ``batch_hint`` is the admission
         window's ``max_batch`` — the coalescing the daemon *can* do —
         which is what makes the swarm tier auto-eligible on shallow
-        graphs: swarm-resolved queries form their own admission groups
-        and flush as one lockstep batch.
+        graphs: swarm-resolved queries are the only ones admission
+        holds, and each group flushes as one lockstep batch.
         """
         from repro.core.dispatch import choose_backend
 
@@ -443,13 +445,9 @@ class ServeServer:
         if not req.no_cache:
             self._inflight_keys[(entry.name, key)] = [pending]
 
-        if req.op == "dfs":
-            # The resolved backend is part of the admission identity so
-            # one flushed batch is always backend-homogeneous (a single
-            # auto daemon never mixes engines within a batch anyway —
-            # the decision is per graph — but a forced knob must not
-            # merge with a differently-keyed group after a live
-            # reconfiguration).
+        if backend == "swarm":
+            # Only swarm work gets cheaper per root in a batch, so only
+            # swarm queries wait out the admission window.
             admission_key = (entry.name, _canonical_config(req.config),
                              bool(req.no_cache), backend)
             batch = self.policy.add(admission_key,
@@ -459,9 +457,11 @@ class ServeServer:
             else:
                 self._wake.set()   # flusher recomputes its deadline
         else:
+            # DFS, frontier, shard and app ops run one query per
+            # execution, so holding them would only add latency.
             self._launch_batch(Batch(
                 key=(entry.name, req.op), items=((entry, pending),),
-                opened=t0, reason="app"))
+                opened=t0, reason="admit"))
         return await self._await_pending(pending, t0)
 
     async def _await_pending(self, pending: _PendingQuery,
@@ -491,7 +491,7 @@ class ServeServer:
         self.stats.bump("batches")
         self.stats.bump("batched_queries", len(batch.items))
         if len(batch.items) > 1:
-            self.stats.bump("hive_batches")
+            self.stats.bump("swarm_batches")
 
     async def _run_batch(self, batch: Batch) -> None:
         entry: ResidentGraph = batch.items[0][0]

@@ -44,11 +44,6 @@ def test_phases_simulate_matches_total_wall(payload_fixture, request):
     assert abs(simulate - total) <= max(1e-6, 0.01 * total)
 
 
-def test_turbo_and_batch_conflict():
-    with pytest.raises(BenchmarkError, match="cannot be combined"):
-        run_micro(repeats=1, turbo=True, batch=4)
-
-
 def test_render_tags_hive_mode(batch_payload):
     assert "[hive batch=2]" in render(batch_payload)
 
@@ -59,9 +54,12 @@ def test_render_tags_hive_mode(batch_payload):
 
 def _entry(mode, cases, ts):
     entry = {"bench": "engine_micro", "repeats": 3, "timestamp": ts,
-             "turbo": mode == "turbo",
              "batch": 16 if mode == "hive" else 0,
              "cases": cases}
+    if mode == "turbo":
+        # Records from before the fused loop became the execution path
+        # carried this flag.
+        entry["turbo"] = True
     return entry
 
 
@@ -109,6 +107,23 @@ def test_compare_flags_and_modes(trajectory):
     assert "flagged: 2" in out
 
 
+def test_compare_reads_historic_turbo_records(tmp_path):
+    """A recorded ``"turbo": true`` entry still tags as turbo and
+    compares against a current record of the same schedule."""
+    cases = [_case("road1000", 0.010, 2576, 130728)]
+    path = tmp_path / "trajectory.jsonl"
+    path.write_text(
+        json.dumps(_entry("turbo", cases, "2026-08-01T00:00:00+00:00"))
+        + "\n"
+        + json.dumps(_entry("scalar", cases, "2026-09-01T00:00:00+00:00"))
+        + "\n", encoding="utf-8")
+    out = compare_trajectory(0, 1, path=path)
+    assert "A: entry 0 [turbo]" in out
+    assert "B: entry 1 [scalar]" in out
+    assert "SCHEDULE DRIFT" not in out
+    assert "flagged: 0" in out
+
+
 def test_compare_negative_indices(trajectory):
     assert compare_trajectory(-2, -1, path=trajectory) == \
         compare_trajectory(0, 1, path=trajectory)
@@ -125,7 +140,9 @@ def test_compare_out_of_range(trajectory):
 
 
 def test_cli_batch_turbo_conflict(capsys):
+    """The retired --turbo flag is rejected, with or without --batch:
+    every DFS case already runs on the fused loop."""
     with pytest.raises(SystemExit):
         micro.main(["--turbo", "--batch", "4"])
     err = capsys.readouterr().err
-    assert "drop --turbo" in err
+    assert "unrecognized arguments: --turbo" in err

@@ -4,8 +4,9 @@ Two layers of protection:
 
 * ``test_schedule_matches_baseline`` runs in the ordinary test suite —
   it compares the (deterministic) simulated cycles/steps of each micro
-  case against ``benchmarks/baseline_micro.json``, catching accidental
-  schedule drift regardless of machine load.
+  case, run on the fused loop, against
+  ``benchmarks/baseline_micro.json`` (recorded on the generic loop),
+  catching accidental schedule drift regardless of machine load.
 * ``test_wall_time_gate`` carries the ``perf_smoke`` marker and is
   deselected by default (see ``addopts`` in ``pyproject.toml``) because
   wall-clock assertions are load-sensitive; CI runs it explicitly with
@@ -20,6 +21,7 @@ import pytest
 
 from repro.bench import micro
 from repro.core.diggerbees import run_diggerbees
+from repro.core.turbo import turbo_eligible
 from repro.errors import BenchmarkError
 
 
@@ -35,6 +37,7 @@ def test_schedule_matches_baseline():
     baseline = {c["name"]: c for c in _load_baseline()["cases"]}
     for name, build, cfg in micro.MICRO_CASES:
         assert name in baseline, f"case {name} missing from baseline"
+        assert turbo_eligible(cfg), f"{name} no longer runs fused"
         res = run_diggerbees(build(), 0, config=cfg)
         assert res.cycles == baseline[name]["cycles"], (
             f"{name}: schedule drift (cycles {res.cycles} vs baseline "
@@ -46,17 +49,6 @@ def test_schedule_matches_baseline():
 def test_wall_time_gate():
     baseline = _load_baseline()
     result = micro.run_micro(repeats=3)
-    problems = micro.check_against_baseline(result, baseline)
-    assert not problems, "; ".join(problems)
-
-
-@pytest.mark.perf_smoke
-def test_wall_time_gate_turbo():
-    """The fused turbo loop gates against the same baseline — its
-    cycles/steps are bit-identical by contract, and its wall time must
-    clear the same regression bar."""
-    baseline = _load_baseline()
-    result = micro.run_micro(repeats=3, turbo=True)
     problems = micro.check_against_baseline(result, baseline)
     assert not problems, "; ".join(problems)
 

@@ -56,7 +56,7 @@ def test_mutants_subset(capsys):
                    "--names", "intra_lost_cas_writeback,refill_double_pop"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "2/2 injected bugs detected" in out
+    assert "2/2 injected bugs detected through both loops" in out
 
 
 def test_mutants_unknown_name(capsys):
@@ -64,8 +64,26 @@ def test_mutants_unknown_name(capsys):
 
 
 def test_mutants_reports_misses(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_mutant", lambda name, **kw: None)
+    monkeypatch.setattr(cli, "run_mutant",
+                        lambda name, **kw: dict.fromkeys(
+                            cli.MUTANT_PRIMARIES))
     rc = cli.main(["mutants", "--names", "flush_publish_drop"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "MISSED flush_publish_drop" in out
+    assert "MISSED flush_publish_drop through the generic loop" in out
+    assert "MISSED flush_publish_drop through the fused loop" in out
+
+
+def test_mutants_reports_a_miss_in_one_loop(capsys, monkeypatch):
+    """Caught through the generic loop alone is still a failed suite."""
+    failure = CheckFailure(case=case_from_seed(0, stress=True),
+                           stage="invariants", message="caught",
+                           mutation="flush_publish_drop", stress=True)
+    monkeypatch.setattr(cli, "run_mutant",
+                        lambda name, **kw: {"generic": failure,
+                                            "fused": None})
+    rc = cli.main(["mutants", "--names", "flush_publish_drop"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "caught flush_publish_drop through the generic loop" in out
+    assert "MISSED flush_publish_drop through the fused loop" in out

@@ -49,7 +49,7 @@ def test_cmd_repro_serve_exit_codes(capsys):
 
 
 def test_run_mutant_detected_through_serve_path():
-    failure = run_mutant("claim_lost_store", budget=4, serve=True)
+    failure = run_mutant("claim_lost_store", budget=4, serve=True)["generic"]
     assert failure is not None
     # The bug is caught by whichever rung fires first; the serve rung's
     # job here is transport fidelity, and the flag must survive into the

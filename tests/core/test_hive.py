@@ -1,7 +1,7 @@
 """Bit-identity and eligibility coverage for the hive batch engine.
 
-The hive contract (``repro.core.hive``) extends turbo's schedule
-identity across a batch axis: for every eligible configuration and
+The hive contract (``repro.core.hive``) extends the fused loop's
+schedule identity across a batch axis: for every eligible configuration and
 *every batch composition*, each run of a lockstep batch must reproduce
 the scalar engines' cycles, steps, traversal output and counters
 bit-for-bit.  These tests sweep that contract across every fuzz graph
@@ -40,13 +40,12 @@ def _assert_same(ref, res, label):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_hive_bit_identical_across_families(family):
-    """Every run of a full-width batch == turbo == the generic engine."""
+    """Every run of a full-width batch == the fused loop."""
     case = _family_case(family)
     graph = case.build_graph()
     cfg = case.build_config()
     assert hive_eligible(cfg)
-    turbo = run_diggerbees(graph, case.root, config=case.build_config(
-        turbo=True))
+    turbo = run_diggerbees(graph, case.root, config=cfg)
     results = run_hive(graph, [(case.root, cfg)] * 4)
     for i, res in enumerate(results):
         _assert_same(turbo, res, f"{family} run {i}")
@@ -58,8 +57,7 @@ def test_hive_batch_width_invariance(batch):
     case = _family_case("road_network")
     graph = case.build_graph()
     cfg = case.build_config()
-    turbo = run_diggerbees(graph, case.root, config=case.build_config(
-        turbo=True))
+    turbo = run_diggerbees(graph, case.root, config=cfg)
     results = run_hive(graph, [(case.root, cfg)] * 16, batch=batch)
     assert len(results) == 16
     for i, res in enumerate(results):
@@ -76,8 +74,7 @@ def test_hive_heterogeneous_batch_compaction(batch):
     cfg = case.build_config()
     roots = [0, 17, 50, 123, 250, 299, 5, 80, 160, 40, 220, 90, 10]
     tasks = [(r, cfg.with_overrides(seed=r)) for r in roots]
-    refs = [run_diggerbees(graph, r, config=c.with_overrides(turbo=True))
-            for r, c in tasks]
+    refs = [run_diggerbees(graph, r, config=c) for r, c in tasks]
     results = run_hive(graph, tasks, batch=batch)
     for i, (ref, res) in enumerate(zip(refs, results)):
         _assert_same(ref, res, f"hetero run {i} (root {roots[i]})")

@@ -1,14 +1,12 @@
 """Coverage for the vectorized steal protocol in the hive engine.
 
 ``repro.core.hive`` executes refills, intra-block steals and inter-block
-leader steals as batched NumPy passes when ``hive_steal="vector"`` (the
-default).  The contract is unchanged from the scalar protocol: every run
-must stay bit-identical to the scalar engines, including the protocol
-counters.  These tests drive the vector passes with real steal traffic
-(skewed trees and hub graphs on tight stack geometry) and check them
-against two independent oracles — the turbo scalar engine and the hive
-engine's own ``hive_steal="scalar"`` mode — plus the execution-path
-accounting in the ``stats`` dict.
+leader steals as batched NumPy passes.  The contract is unchanged from
+the scalar protocol: every run must stay bit-identical to the
+single-run engine, including the protocol counters.  These tests drive
+the vector passes with real steal traffic (skewed trees and hub graphs
+on tight stack geometry) and check them against the single-run fused
+loop, plus the execution-path accounting in the ``stats`` dict.
 
 The scenarios deliberately include the protocol's racy corners: every
 live lane bailing out in the same tick, two thieves reserving the same
@@ -57,19 +55,17 @@ GRAPHS = {
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_vector_bit_identical_and_nonvacuous(graph_name):
-    """Vector hive == turbo == scalar-mode hive, with real steal traffic
+    """Vector hive == the single-run fused loop, with real steal traffic
     (refills, intra + inter successes, CAS failures all nonzero) and no
     lanes routed through the scalar fallback."""
     graph = GRAPHS[graph_name]()
     cfg = _steal_heavy_config()
-    turbo = run_diggerbees(graph, 0, config=cfg.with_overrides(turbo=True))
+    turbo = run_diggerbees(graph, 0, config=cfg)
 
     stats = {}
     vec = run_hive(graph, [(0, cfg)] * 4, stats=stats)
-    scal = run_hive(graph, [(0, cfg.with_overrides(hive_steal="scalar"))] * 4)
-    for i, (v, s) in enumerate(zip(vec, scal)):
+    for i, v in enumerate(vec):
         _assert_same(turbo, v, f"{graph_name} vector run {i}")
-        _assert_same(turbo, s, f"{graph_name} scalar-mode run {i}")
 
     c = turbo.counters
     assert c.refills > 0 and c.refill_entries > 0
@@ -89,7 +85,7 @@ def test_batch_one_and_batch_exceeding_tasks(batch):
     than the task list both reproduce the scalar result."""
     graph = GRAPHS["skewed_tree"]()
     cfg = _steal_heavy_config()
-    turbo = run_diggerbees(graph, 0, config=cfg.with_overrides(turbo=True))
+    turbo = run_diggerbees(graph, 0, config=cfg)
     results = run_hive(graph, [(0, cfg)] * 3, batch=batch)
     assert len(results) == 3
     for i, res in enumerate(results):
@@ -118,7 +114,7 @@ def test_steal_racing_refill():
     so the same drain alternates refills and steals tick by tick."""
     graph = gen.skewed_tree(3000, skew=0.9, seed=4)
     cfg = _steal_heavy_config(hot_cutoff=6, refill_batch=6)
-    turbo = run_diggerbees(graph, 0, config=cfg.with_overrides(turbo=True))
+    turbo = run_diggerbees(graph, 0, config=cfg)
     assert turbo.counters.refills > 0
     assert turbo.counters.intra_steal_successes > 0
     for i, res in enumerate(run_hive(graph, [(0, cfg)] * 4)):
@@ -132,8 +128,7 @@ def test_heterogeneous_seeds_cas_validation():
     graph = GRAPHS["road"]()
     cfg = _steal_heavy_config()
     tasks = [(0, cfg.with_overrides(seed=s)) for s in (1, 2, 3, 4, 5)]
-    refs = [run_diggerbees(graph, 0, config=c.with_overrides(turbo=True))
-            for _, c in tasks]
+    refs = [run_diggerbees(graph, 0, config=c) for _, c in tasks]
     results = run_hive(graph, tasks)
     assert any(r.counters.cas_failures > 0 for r in refs)
     for i, (ref, res) in enumerate(zip(refs, results)):
@@ -147,7 +142,7 @@ def test_patched_protocol_routes_to_fallback(monkeypatch):
     nonzero fallback fraction."""
     graph = GRAPHS["skewed_tree"]()
     cfg = _steal_heavy_config()
-    turbo = run_diggerbees(graph, 0, config=cfg.with_overrides(turbo=True))
+    turbo = run_diggerbees(graph, 0, config=cfg)
 
     orig = intra_steal.select_victim
 
@@ -165,13 +160,16 @@ def test_patched_protocol_routes_to_fallback(monkeypatch):
 
 
 def test_scalar_mode_stats_report_fallback():
-    """hive_steal="scalar" keeps the batched expand path but routes all
-    protocol events through the scalar fallback; the stats dict makes
-    that visible."""
+    """Adversarial victim choice draws from the fuzz RNG, which the
+    vector passes do not replay, so the drain keeps the batched expand
+    path but routes all protocol events through the scalar per-lane
+    bailout — same results, and the stats dict makes that visible."""
     graph = GRAPHS["hub"]()
-    cfg = _steal_heavy_config(hive_steal="scalar")
+    cfg = _steal_heavy_config(adversarial_victims=True)
+    ref = run_diggerbees(graph, 0, config=cfg)
     stats = {}
-    run_hive(graph, [(0, cfg)] * 2, stats=stats)
+    for i, res in enumerate(run_hive(graph, [(0, cfg)] * 2, stats=stats)):
+        _assert_same(ref, res, f"scalar-route run {i}")
     assert stats["events_total"] > 0
     assert stats["events_fallback"] > 0
     assert stats["fallback_lane_fraction"] > 0.0
@@ -179,7 +177,8 @@ def test_scalar_mode_stats_report_fallback():
 
 
 def test_hive_steal_config_validation():
-    assert DiggerBeesConfig(hive_steal="scalar").hive_steal == "scalar"
-    assert DiggerBeesConfig().hive_steal == "vector"
-    with pytest.raises(Exception):
-        DiggerBeesConfig(hive_steal="bogus")
+    """The steal-protocol tier is not configurable: the vector passes are
+    unconditional and the retired ``hive_steal`` field is rejected."""
+    assert "hive_steal" not in DiggerBeesConfig.__dataclass_fields__
+    with pytest.raises(TypeError):
+        DiggerBeesConfig(hive_steal="scalar")

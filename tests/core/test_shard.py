@@ -20,8 +20,7 @@ from repro.graphs.partition import partition_graph
 from repro.graphs.properties import bfs_levels
 from repro.validate import validate_traversal
 
-CONFIG = DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=11,
-                          turbo=True)
+CONFIG = DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=11)
 
 FAMILIES = [
     ("grid", lambda: gen.grid2d(28, 28)),

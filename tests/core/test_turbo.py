@@ -1,17 +1,18 @@
-"""Bit-identity and eligibility coverage for the fused turbo loop.
+"""Bit-identity and eligibility coverage for the fused loop.
 
-The turbo contract (``repro.core.turbo``) is *schedule identity*, not
-mere correctness: for every eligible configuration the fused
-scheduler-agent loop must reproduce the generic engine's cycles, steps,
-traversal output and counters bit-for-bit.  These tests sweep that
-contract across every fuzz graph family and pin down exactly when the
-fused loop may engage.
+The fused loop (``repro.core.turbo``) is the DFS execution path, and its
+contract is *schedule identity*, not mere correctness: for every
+eligible configuration it must reproduce the generic engine's cycles,
+steps, traversal output and counters bit-for-bit.  These tests sweep
+that contract across every fuzz graph family and pin down exactly when
+``run_diggerbees`` takes the fused loop and when the generic one.
 """
 
 import numpy as np
 import pytest
 
 from repro.check.cases import FAMILIES, FuzzCase
+from repro.core import diggerbees
 from repro.core.config import DiggerBeesConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.core.turbo import turbo_eligible
@@ -27,15 +28,36 @@ def _family_case(family: str) -> FuzzCase:
     )
 
 
+def _engine_spy(monkeypatch):
+    """Record which loop each ``run_diggerbees`` call drains with."""
+    taken = []
+    real_turbo = diggerbees.run_turbo
+    real_loop = diggerbees.EventLoop
+
+    def spy_turbo(*a, **kw):
+        taken.append("fused")
+        return real_turbo(*a, **kw)
+
+    def spy_loop(*a, **kw):
+        taken.append("generic")
+        return real_loop(*a, **kw)
+
+    monkeypatch.setattr(diggerbees, "run_turbo", spy_turbo)
+    monkeypatch.setattr(diggerbees, "EventLoop", spy_loop)
+    return taken
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_turbo_bit_identical_across_families(family):
-    """turbo == fastpath == reference on cycles/steps/output/counters."""
+    """fused == generic fastpath == generic reference on
+    cycles/steps/output/counters."""
     case = _family_case(family)
     graph = case.build_graph()
-    cfg_turbo = case.build_config(turbo=True)
-    assert turbo_eligible(cfg_turbo)  # the fused loop actually engages
-    turbo = run_diggerbees(graph, case.root, config=cfg_turbo)
-    fast = run_diggerbees(graph, case.root, config=case.build_config())
+    cfg = case.build_config()
+    assert turbo_eligible(cfg)  # the fused loop actually engages
+    turbo = run_diggerbees(graph, case.root, config=cfg)
+    fast = run_diggerbees(graph, case.root,
+                          config=case.build_config(scheduler="heap"))
     ref = run_diggerbees(graph, case.root,
                          config=case.build_config(fastpath=False))
     for label, other in (("fastpath", fast), ("reference", ref)):
@@ -50,11 +72,23 @@ def test_turbo_bit_identical_across_families(family):
 
 
 class TestEligibility:
-    def test_default_config_is_not_turbo(self):
-        assert not turbo_eligible(DiggerBeesConfig())
+    def test_default_config_takes_fused_loop(self, monkeypatch):
+        """The default config is eligible, and run_diggerbees drains it
+        with run_turbo, never the generic EventLoop."""
+        assert turbo_eligible(DiggerBeesConfig())
+        taken = _engine_spy(monkeypatch)
+        case = _family_case("road_network")
+        run_diggerbees(case.build_graph(), case.root)
+        run_diggerbees(case.build_graph(), case.root,
+                       config=case.build_config())
+        assert taken == ["fused", "fused"]
 
-    def test_turbo_flag_enables_fusion(self):
-        assert turbo_eligible(DiggerBeesConfig(turbo=True))
+    def test_config_has_no_loop_knob(self):
+        """The execution path is not configurable: the retired turbo
+        field is rejected."""
+        assert "turbo" not in DiggerBeesConfig.__dataclass_fields__
+        with pytest.raises(TypeError):
+            DiggerBeesConfig(turbo=True)
 
     @pytest.mark.parametrize("overrides", [
         {"fastpath": False},
@@ -63,38 +97,36 @@ class TestEligibility:
         {"scheduler": "heap"},
     ])
     def test_fallback_conditions(self, overrides):
-        cfg = DiggerBeesConfig(turbo=True, **overrides)
+        cfg = DiggerBeesConfig(**overrides)
         assert not turbo_eligible(cfg)
 
     @pytest.mark.parametrize("overrides", [
         {"two_level": False},
         {"perturb_seed": 5, "jitter": 2},
         {"scheduler": "heap"},
+        {"fastpath": False},
     ])
-    def test_turbo_true_is_always_safe(self, overrides):
-        """turbo=True on an ineligible config silently falls back to the
-        generic engine and still produces the identical result."""
+    def test_ineligible_configs_take_event_loop(self, monkeypatch,
+                                                overrides):
+        """Configs the fused loop cannot run drain on the generic
+        EventLoop, and still traverse correctly."""
+        taken = _engine_spy(monkeypatch)
         case = _family_case("road_network")
         graph = case.build_graph()
-        with_turbo = run_diggerbees(
-            graph, case.root, config=case.build_config(turbo=True,
-                                                       **overrides))
-        without = run_diggerbees(
-            graph, case.root, config=case.build_config(**overrides))
-        assert with_turbo.cycles == without.cycles
-        assert with_turbo.engine.steps == without.engine.steps
-        assert np.array_equal(with_turbo.traversal.parent,
-                              without.traversal.parent)
+        res = run_diggerbees(graph, case.root,
+                             config=case.build_config(**overrides))
+        assert taken == ["generic"]
+        assert res.traversal.visited.all()
 
 
 def test_exact_cycles_reported():
-    """Turbo polls termination before every event, so its cycle counts
-    are always exact; the generic loop reports exactness from its poll
-    interval."""
+    """The fused loop polls termination before every event, so its cycle
+    counts are always exact; the generic loop reports exactness from its
+    poll interval."""
     case = _family_case("grid2d")
     graph = case.build_graph()
-    turbo = run_diggerbees(graph, case.root,
-                           config=case.build_config(turbo=True))
+    turbo = run_diggerbees(graph, case.root, config=case.build_config())
     assert turbo.engine.exact_cycles is True
-    plain = run_diggerbees(graph, case.root, config=case.build_config())
+    plain = run_diggerbees(graph, case.root,
+                           config=case.build_config(scheduler="heap"))
     assert plain.engine.exact_cycles is True

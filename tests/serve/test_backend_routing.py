@@ -110,7 +110,19 @@ def test_auto_without_batching_stays_on_single_root_frontier():
                                      backend="auto"))
 
 
-def test_forced_swarm_daemon_coalesces_into_one_lockstep_batch():
+def test_forced_swarm_daemon_coalesces_into_one_lockstep_batch(
+        monkeypatch):
+    import repro.core.swarm as swarm
+
+    lanes_run = []
+    real_swarm = swarm.run_swarm
+
+    def spy_swarm(graph, roots, *a, **kw):
+        lanes_run.append(len(roots))
+        return real_swarm(graph, roots, *a, **kw)
+
+    monkeypatch.setattr(swarm, "run_swarm", spy_swarm)
+
     async def scenario(client, server, corpus, **_):
         import asyncio
 
@@ -126,9 +138,17 @@ def test_forced_swarm_daemon_coalesces_into_one_lockstep_batch():
         # All four rode one admission group -> one swarm execution.
         widths = {resp.batch for resp in resps}
         assert widths == {len(roots)}
+        # A lone query flushes a one-lane group, which runs on the
+        # frontier engine: same payload, no one-lane swarm.
+        single = await client.dfs("spine", 5)
+        assert single.batch == 1
+        assert single.result == frontier_result_to_dict(
+            run_frontier(corpus.get("spine").graph, 5), backend="swarm")
+        assert lanes_run == [len(roots)]
         status = await client.status()
-        assert status["stats"]["backend_swarm"] == len(roots)
+        assert status["stats"]["backend_swarm"] == len(roots) + 1
         assert status["stats"]["backend_frontier"] == 0
+        assert status["stats"]["swarm_batches"] == 1
         # Forced knobs never pay the regime BFS.
         assert corpus.get("spine")._regime is None
 

@@ -30,7 +30,7 @@ from repro.serve.protocol import (
 
 def test_request_roundtrip_all_fields():
     req = Request(op="dfs", id="q-1", graph="g", root=7,
-                  config={"seed": 3, "turbo": True}, no_cache=True)
+                  config={"seed": 3, "hot_size": 16}, no_cache=True)
     back = decode_request(encode_request(req))
     assert back == req
 

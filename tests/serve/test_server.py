@@ -62,17 +62,20 @@ def test_cache_hit_is_identical_and_flagged():
     serve_session(scenario)
 
 
-def test_concurrent_queries_coalesce_into_hive_batch():
-    async def scenario(client, server, **_):
+def test_concurrent_dfs_queries_run_unbatched():
+    """Under backend="dfs" admission holds nothing: concurrent queries
+    each run alone (batch == 1) and answer exactly like a direct run."""
+    async def scenario(client, server, corpus, **_):
         resps = await asyncio.gather(*[
             client.dfs("tree", r, no_cache=True) for r in range(6)])
         assert all(r.ok for r in resps)
-        assert {r.batch for r in resps} == {6}
-        assert server.stats.hive_batches >= 1
-        # Batched results still equal scalar execution.
+        assert {r.batch for r in resps} == {1}
+        assert server.stats.swarm_batches == 0
+        assert server.stats.batches == 6
+        graph = corpus.get("tree").graph
         for root, resp in enumerate(resps):
-            direct = await client.dfs("tree", root, no_cache=True)
-            assert resp.result == direct.result or direct.batch > 1
+            assert resp.result == dfs_result_to_dict(
+                run_diggerbees(graph, root))
 
     serve_session(scenario)
 
@@ -117,6 +120,20 @@ def test_error_responses_do_not_kill_the_daemon():
             await client.dfs("path", 0, config={"warp_speed": 9})
         with pytest.raises(ServeError):
             await client.query("scc", "tree")   # undirected -> error
+        resp = await client.dfs("path", 0)      # still serving
+        assert resp.ok
+
+    serve_session(scenario)
+
+
+def test_retired_loop_knobs_get_unknown_field_errors():
+    """The execution path is not a request knob: the retired turbo and
+    hive_steal engine-config fields are rejected per request."""
+    async def scenario(client, **_):
+        for field, value in (("turbo", True), ("hive_steal", "scalar")):
+            with pytest.raises(ServeError,
+                               match="unknown engine-config"):
+                await client.dfs("path", 0, config={field: value})
         resp = await client.dfs("path", 0)      # still serving
         assert resp.ok
 

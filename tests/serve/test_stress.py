@@ -15,9 +15,10 @@ import numpy as np
 
 from repro.core.config import ServeConfig
 from repro.core.diggerbees import run_diggerbees
+from repro.core.frontier import run_frontier
 from repro.graphs import generators as gen
 from repro.serve.client import AsyncServeClient
-from repro.serve.protocol import dfs_result_to_dict
+from repro.serve.protocol import dfs_result_to_dict, frontier_result_to_dict
 
 from tests.serve.conftest import serve_session
 
@@ -150,7 +151,10 @@ def test_disconnect_mid_batch_does_not_hurt_batchmates():
 
 def test_clean_shutdown_drains_admitted_queries():
     graphs = _graphs()
-    expected = _expected_payloads(graphs)
+    # Swarm queries are the ones admission holds for its window.
+    expected = {root: frontier_result_to_dict(
+        run_frontier(graphs["a"], root), backend="swarm")
+        for root in (0, 7, 14)}
 
     async def scenario(client, server, **_):
         # Park queries in an admission group with a long window, then
@@ -162,11 +166,13 @@ def test_clean_shutdown_drains_admitted_queries():
         await server.stop(drain=True)
         for root, t in zip((0, 7, 14), tasks):
             resp = await asyncio.wait_for(t, timeout=10)
-            assert resp.ok and resp.result == expected[("a", root)]
+            assert resp.ok and resp.result == expected[root]
+            assert resp.batch == 3
 
     serve_session(scenario, graphs=graphs,
                   config=ServeConfig(batch_window=30.0, max_batch=64,
-                                     jobs=0, cache_dir="off"))
+                                     jobs=0, cache_dir="off",
+                                     backend="swarm"))
 
 
 def test_pipelined_single_connection_interleaving():
