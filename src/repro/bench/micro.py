@@ -43,11 +43,6 @@ are exempt from the cycles/wall baseline gate — they have no simulated
 schedule; DFS-run cases stay gated).  ``--record`` appends the
 run to ``benchmarks/out/trajectory.jsonl`` (timestamped) and rewrites
 the repo-root ``BENCH_engine.json`` snapshot.
-
-Gating refuses to run when any case reports ``exact_cycles == False``
-(an engine configured with ``poll_interval > 1`` can overshoot
-termination): comparing inexact cycle counts against the baseline would
-report schedule drift that is really measurement slack.
 """
 
 from __future__ import annotations
@@ -245,7 +240,6 @@ def run_micro(repeats: int = 3,
                     "cycles": None,
                     "steps": None,
                     "steps_per_second": None,
-                    "exact_cycles": True,
                     "mteps": (sres.edges_scanned / wall / 1e6
                               if wall > 0 else 0.0),
                     "edges_scanned": sres.edges_scanned,
@@ -275,7 +269,6 @@ def run_micro(repeats: int = 3,
                     "cycles": None,
                     "steps": None,
                     "steps_per_second": None,
-                    "exact_cycles": True,
                     "mteps": (fres.edges_scanned / wall / 1e6
                               if wall > 0 else 0.0),
                     "edges_scanned": fres.edges_scanned,
@@ -320,7 +313,6 @@ def run_micro(repeats: int = 3,
                 "steps": result.engine.steps,
                 "steps_per_second": steps_per_second(result.engine.steps,
                                                      wall),
-                "exact_cycles": result.engine.exact_cycles,
                 "events": _case_events(result.counters),
                 "fallback_lane_fraction": (
                     hive_stats.get("fallback_lane_fraction")
@@ -353,19 +345,7 @@ def check_against_baseline(result: Dict, baseline: Dict,
     (cycles/steps) and >``factor`` wall-time regressions are reported;
     cases absent from the baseline are ignored (new cases need a baseline
     update first).
-
-    Raises :class:`~repro.errors.BenchmarkError` when any case carries
-    ``exact_cycles == False``: inexact cycle counts (``poll_interval >
-    1`` overshoot) cannot be gated against an exact baseline.
     """
-    inexact = [c["name"] for c in result["cases"]
-               if not c.get("exact_cycles", True)]
-    if inexact:
-        raise BenchmarkError(
-            f"refusing to gate: cases {inexact} report inexact cycle "
-            f"counts (engine ran with poll_interval > 1); rerun with an "
-            f"exact engine configuration"
-        )
     problems: List[str] = []
     base_cases = {c["name"]: c for c in baseline.get("cases", [])}
     for case in result["cases"]:

@@ -7,8 +7,9 @@ The oracle hierarchy (weakest to strongest coupling to the protocol):
 2. output validators (:mod:`repro.validate.tree`);
 3. steal-protocol invariant hooks (:class:`InvariantMonitor`) firing at
    every steal / flush / refill plus a periodic global sweep;
-4. differential reruns (fastpath vs reference expansion, heap vs
-   calendar scheduler, CPU PDFS baselines).
+4. differential reruns (the fused loop vs the generic reference
+   engine, the opt-in hive/serve/frontier/shard/swarm tiers, CPU PDFS
+   baselines).
 
 See ``docs/TESTING.md`` for the full map and CLI usage.
 """

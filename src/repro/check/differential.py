@@ -10,16 +10,13 @@ fixed oracle ladder and reports the first failure (or None):
    (tree validity + visited/reachable equality);
 3. **serial reference** — visited set must equal
    :func:`~repro.validate.reference.serial_dfs`'s (the ground truth);
-4. **fastpath differential** — rerun with ``fastpath`` flipped (the
-   reference expand on the generic loop); cycles, steps, parent and
-   visited must be bit-identical (the fast path promises an *identical
-   schedule*, not merely a correct one);
-5. **fused vs generic** — rerun on the generic event loop through the
-   ``"heap"`` scheduler, which the fused loop declines; cycles, steps,
-   parent and visited must match bit-for-bit.  With a fused primary
-   this pins the fused loop against the reference engine; with a
-   generic primary (one-level stacks) it cross-checks the heap and
-   calendar drains (skipped under perturbation, which bypasses both);
+4. **fused vs generic** — when the primary ran on the fused loop,
+   rerun the case on the reference engine
+   (:func:`~repro.core.diggerbees.run_diggerbees_reference`, the
+   generic event loop); cycles, steps, parent and visited must be
+   bit-identical (the fused loop promises an *identical schedule*, not
+   merely a correct one).  A primary that already ran on the generic
+   loop (one-level stacks, perturbation) skips this rung;
 5b. **hive differential** (opt-in via ``hive=True``) — rerun the case as
    a two-run lockstep batch on the NumPy hive engine
    (:mod:`repro.core.hive`); every batched run must match the primary
@@ -80,7 +77,8 @@ import numpy as np
 from repro.check.cases import FuzzCase, case_from_seed
 from repro.check.invariants import InvariantMonitor
 from repro.check.mutations import apply_mutation
-from repro.core.diggerbees import DiggerBeesResult, run_diggerbees
+from repro.core.diggerbees import (DiggerBeesResult, run_diggerbees,
+                                   run_diggerbees_reference)
 from repro.core.turbo import turbo_eligible
 from repro.errors import ReproError
 from repro.validate.reference import serial_dfs
@@ -182,12 +180,16 @@ def _payload_diff(expected: dict, got: dict) -> str:
 
 
 def run_monitored(case: FuzzCase, *, check_every: int = 64,
-                  **config_overrides) -> DiggerBeesResult:
-    """Run one case under a fresh invariant monitor; raises on violation."""
+                  run=run_diggerbees) -> DiggerBeesResult:
+    """Run one case under a fresh invariant monitor; raises on violation.
+
+    ``run`` is the driver: :func:`run_diggerbees` (the loop the config
+    selects) or :func:`run_diggerbees_reference` (the generic loop).
+    """
     graph = case.build_graph()
-    config = case.build_config(**config_overrides)
+    config = case.build_config()
     monitor = InvariantMonitor(check_every=check_every)
-    result = run_diggerbees(
+    result = run(
         graph, case.root, config=config,
         check_invariants=True, instrument=monitor.attach,
     )
@@ -282,66 +284,32 @@ def check_case(case: FuzzCase, *, mutation: Optional[str] = None,
                 f"{extra.size} extra (e.g. {extra[:5].tolist()})",
             )
 
-        # Stage 4: fastpath differential — flipping the expansion path
-        # must reproduce the *identical* schedule, not just a correct one.
-        try:
-            flipped = run_monitored(
-                case, check_every=check_every,
-                fastpath=not case.build_config().fastpath,
-            )
-        except ReproError as exc:
-            return fail("fastpath-diff", f"{type(exc).__name__}: {exc}")
-        if flipped.cycles != result.cycles:
-            return fail("fastpath-diff",
-                        f"cycles diverge: fastpath={result.cycles}, "
-                        f"reference={flipped.cycles}")
-        if flipped.engine.steps != result.engine.steps:
-            return fail("fastpath-diff",
-                        f"steps diverge: fastpath={result.engine.steps}, "
-                        f"reference={flipped.engine.steps}")
-        if not np.array_equal(flipped.traversal.parent,
-                              result.traversal.parent):
-            diff = np.flatnonzero(
-                flipped.traversal.parent != result.traversal.parent)
-            return fail("fastpath-diff",
-                        f"parent arrays diverge at {diff.size} vertices "
-                        f"(e.g. {diff[:5].tolist()})")
-        if not np.array_equal(flipped.traversal.visited,
-                              result.traversal.visited):
-            return fail("fastpath-diff", "visited arrays diverge")
-
-        # Stage 5: fused vs generic — rerun on the generic event loop
-        # (the "heap" scheduler, which the fused loop declines).  A
-        # fused primary must replay the reference engine's schedule
-        # exactly; a generic primary cross-checks the heap and calendar
-        # drains.  Perturbed runs bypass both loops' drain order, so
-        # there is nothing to compare.
-        if case.perturb_seed is None:
-            fused = turbo_eligible(result.config)
-            stage = "fused-diff" if fused else "scheduler-diff"
+        # Stage 4: fused vs generic — a fused primary must replay the
+        # reference engine's schedule exactly.  A generic primary (one-
+        # level stacks, perturbation) already ran on the reference.
+        if turbo_eligible(result.config):
             try:
                 generic = run_monitored(case, check_every=check_every,
-                                        scheduler="heap")
+                                        run=run_diggerbees_reference)
             except ReproError as exc:
-                return fail(stage, f"{type(exc).__name__}: {exc}")
+                return fail("fused-diff", f"{type(exc).__name__}: {exc}")
             if (generic.cycles != result.cycles
                     or generic.engine.steps != result.engine.steps):
                 return fail(
-                    stage,
-                    f"{'fused' if fused else 'calendar'} loop diverges "
-                    f"from the generic heap loop: cycles "
+                    "fused-diff",
+                    f"fused loop diverges from the generic loop: cycles "
                     f"{result.cycles}/{generic.cycles}, steps "
                     f"{result.engine.steps}/{generic.engine.steps}")
             if not np.array_equal(generic.traversal.parent,
                                   result.traversal.parent):
                 diff = np.flatnonzero(
                     generic.traversal.parent != result.traversal.parent)
-                return fail(stage,
+                return fail("fused-diff",
                             f"parent arrays diverge at {diff.size} vertices "
                             f"(e.g. {diff[:5].tolist()})")
             if not np.array_equal(generic.traversal.visited,
                                   result.traversal.visited):
-                return fail(stage, "visited arrays diverge")
+                return fail("fused-diff", "visited arrays diverge")
 
         # Stage 5b: hive differential — the batched lockstep engine must
         # replay the identical schedule for every run in a batch.  A

@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.device import DeviceSpec, H100, hotring_smem_bytes
-from repro.sim.engine import SCHEDULERS
 
 __all__ = ["DiggerBeesConfig", "ServeConfig", "SHARD_MIN_VERTICES",
            "VICTIM_POLICIES"]
@@ -75,18 +74,6 @@ class DiggerBeesConfig:
         multi-GPU systems the paper's related work cites).
     seed:
         Seed for victim sampling; runs are fully deterministic given it.
-    scheduler:
-        Event-loop implementation: ``"auto"`` (default, the bucketed
-        calendar queue), ``"calendar"``, or ``"heap"``.  All produce
-        bit-for-bit identical schedules.  Calendar runs take the fused
-        loop (:mod:`repro.core.turbo`) whenever the config allows it;
-        ``"heap"`` always runs the generic event loop, which is how the
-        golden tests and the oracle ladder reach the reference engine.
-    fastpath:
-        Use the vectorized expand fast path in :class:`WarpAgent`
-        (default).  ``False`` selects the reference NumPy implementation
-        on the generic event loop; both produce identical cycles, steps,
-        and DFS trees — the golden determinism tests assert it.
     perturb_seed / jitter:
         Schedule-fuzzing knobs (``repro.check``): with ``perturb_seed``
         set the engine drains same-cycle events in a seeded random order
@@ -118,8 +105,6 @@ class DiggerBeesConfig:
     seed: int = 0
     trace: bool = False
     max_cycles: int = 200_000_000_000
-    scheduler: str = "auto"
-    fastpath: bool = True
     perturb_seed: Optional[int] = None
     jitter: int = 0
     adversarial_victims: bool = False
@@ -164,11 +149,6 @@ class DiggerBeesConfig:
             raise SimulationError(
                 f"flush_policy must be 'tail' or 'head', "
                 f"got {self.flush_policy!r}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"scheduler must be one of {SCHEDULERS}, "
-                f"got {self.scheduler!r}"
             )
         if self.cold_reserve < self.cold_cutoff:
             raise SimulationError(

@@ -6,6 +6,15 @@ This is the public entry point of the core package::
     result = run_diggerbees(graph, root=0,
                             config=DiggerBeesConfig.v4(H100, sim_scale=0.25))
     print(result.mteps)
+
+:func:`run_diggerbees` drains every config the fused loop
+(:mod:`repro.core.turbo`) can run through it, and everything else
+(one-level stacks, schedule perturbation) through the generic
+:class:`~repro.sim.engine.EventLoop`.  :func:`run_diggerbees_reference`
+always takes the generic loop: it is the single reference engine the
+golden tests and the ``repro.check`` oracle ladder hold the fused loop
+to, bit for bit.  Both share run assembly, :func:`drain` /
+:func:`drain_generic` and :func:`package_result`.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from repro.sim.metrics import mteps as _mteps
 from repro.sim.trace import SimCounters, TraceLog
 from repro.validate.reference import TraversalResult
 
-__all__ = ["DiggerBeesResult", "run_diggerbees", "package_result"]
+__all__ = ["DiggerBeesResult", "run_diggerbees", "run_diggerbees_reference",
+           "drain", "drain_generic", "package_result"]
 
 
 @dataclass(frozen=True)
@@ -107,36 +117,39 @@ def run_diggerbees(
     DiggerBeesResult
         Traversal output, simulated time, MTEPS, and full counters.
     """
+    return _run(drain, graph, root, config, device, check_invariants,
+                record_order, instrument)
+
+
+def run_diggerbees_reference(
+    graph: CSRGraph,
+    root: int,
+    *,
+    config: Optional[DiggerBeesConfig] = None,
+    device: DeviceSpec = H100,
+    check_invariants: bool = False,
+    record_order: bool = False,
+    instrument: Optional[Callable[[RunState], Optional[Callable[[int], None]]]] = None,
+) -> DiggerBeesResult:
+    """:func:`run_diggerbees` on the generic event loop, whatever the config.
+
+    The reference engine: same parameters, same result type, and for
+    every config the same cycles, steps, counters and traversal as
+    :func:`run_diggerbees` — which is what the golden tests and the
+    oracle ladder's fused-vs-generic rung assert.
+    """
+    return _run(drain_generic, graph, root, config, device,
+                check_invariants, record_order, instrument)
+
+
+def _run(drain_fn, graph, root, config, device, check_invariants,
+         record_order, instrument) -> DiggerBeesResult:
     config = config or DiggerBeesConfig()
     if record_order and not config.trace:
         config = config.with_overrides(trace=True)
     state = RunState(graph, root, config, device)
     on_step = instrument(state) if instrument is not None else None
-    agents = [
-        WarpAgent(state, b, w)
-        for b in range(config.n_blocks)
-        for w in range(config.warps_per_block)
-    ]
-    if turbo_eligible(config):
-        # The execution path: the fused scheduler-agent loop.  The
-        # generic EventLoop below is the fallback for configs it cannot
-        # fuse and the reference it is checked against; both produce
-        # the same EngineResult, counters and traversal bit for bit.
-        engine = run_turbo(
-            state, agents, max_cycles=config.max_cycles, on_step=on_step,
-        )
-    else:
-        loop = EventLoop(
-            agents,
-            is_terminated=state.is_terminated,
-            max_cycles=config.max_cycles,
-            scheduler=config.scheduler,
-            perturb_seed=config.perturb_seed,
-            jitter=config.jitter,
-            on_step=on_step,
-        )
-        engine = loop.run()
-
+    engine = drain_fn(state, on_step)
     if state.pending != 0:
         raise SimulationError(
             f"engine stopped with {state.pending} entries pending"
@@ -144,6 +157,45 @@ def run_diggerbees(
     if check_invariants:
         state.check_invariants()
     return package_result(state, engine, record_order=record_order)
+
+
+def drain(state: RunState,
+          on_step: Optional[Callable[[int], None]] = None) -> EngineResult:
+    """Run the grid of a freshly seeded ``state`` to termination.
+
+    The fused loop takes every config it can run bit-identically
+    (:func:`~repro.core.turbo.turbo_eligible`); the rest falls back to
+    :func:`drain_generic`.  Either way the result is the reference
+    engine's, bit for bit.
+    """
+    if turbo_eligible(state.config):
+        return run_turbo(state, _grid(state),
+                         max_cycles=state.config.max_cycles, on_step=on_step)
+    return drain_generic(state, on_step)
+
+
+def drain_generic(state: RunState,
+                  on_step: Optional[Callable[[int], None]] = None
+                  ) -> EngineResult:
+    """Run ``state``'s grid on the generic event loop (the reference),
+    with the config's schedule perturbation, if any."""
+    config = state.config
+    return EventLoop(
+        _grid(state),
+        is_terminated=state.is_terminated,
+        max_cycles=config.max_cycles,
+        perturb_seed=config.perturb_seed,
+        jitter=config.jitter,
+        on_step=on_step,
+    ).run()
+
+
+def _grid(state: RunState) -> list:
+    """One :class:`WarpAgent` per warp, in block-major order."""
+    config = state.config
+    return [WarpAgent(state, b, w)
+            for b in range(config.n_blocks)
+            for w in range(config.warps_per_block)]
 
 
 def package_result(state: RunState, engine: EngineResult, *,

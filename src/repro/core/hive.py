@@ -27,7 +27,7 @@ it.  Per engine tick:
 2. **Selection** — a vectorized argmin over each run's per-agent
    ``(ready_at, seq)`` event keys picks every run's next event; the
    termination predicate is evaluated *before* the event, and time
-   advances per run exactly as the calendar scheduler would.
+   advances per run exactly as the calendar drain would.
 3. **Classification** — gathered hot/cold pointers and phase flags
    split the selected events into *vector expand* (the ~80% case:
    non-empty HotRing, RUN phase), *vector poll* (pure idle backoff),
@@ -88,9 +88,8 @@ and the batch-vs-single-run tests assert this per run at several batch
 sizes.
 
 Eligibility mirrors the fused loop's (the batch engine is an explicit
-opt-in tier): two-level stacks, expand fast path, no schedule
-perturbation, calendar scheduler, and no tracing (per-event trace logs
-are inherently scalar).
+opt-in tier): two-level stacks, no schedule perturbation, and no
+tracing (per-event trace logs are inherently scalar).
 """
 
 from __future__ import annotations
@@ -160,8 +159,7 @@ def hive_eligible(config: DiggerBeesConfig) -> bool:
     Same gate as ``turbo_eligible`` except that tracing is excluded:
     the vector expand cannot append per-event trace records.
     """
-    return (config.fastpath and config.two_level
-            and config.perturb_seed is None and config.scheduler != "heap"
+    return (config.two_level and config.perturb_seed is None
             and not config.trace)
 
 
@@ -215,8 +213,7 @@ def run_hive(
         if not hive_eligible(config):
             raise SimulationError(
                 f"config for root {root} is not hive-eligible (needs "
-                f"two-level + fastpath, no perturbation/trace, calendar "
-                f"scheduler)"
+                f"two-level stacks, no perturbation/trace)"
             )
         if not hive_compatible(base, config):
             raise SimulationError(
@@ -464,7 +461,7 @@ def _drain_batch(slabs: BatchSlabs, states: List[RunState],
         st.pending = 0
         results[row] = EngineResult(cycles=int(now[slot]),
                                     steps=int(seq_ctr[slot]) - A,
-                                    agents=A, exact_cycles=True)
+                                    agents=A)
 
     nact = B
     while nact:

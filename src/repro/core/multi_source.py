@@ -17,6 +17,11 @@ warp 0 of that block), mirroring how a launcher would scatter seed
 vertices.  The output is a spanning *forest*: ``parent`` is -1 at each
 root that claimed its own component and the ``roots`` tuple records the
 claiming subset.
+
+The seeded grid drains exactly like a single-source run
+(:func:`repro.core.diggerbees.drain`): on the fused loop when the config
+allows it, otherwise on the generic event loop with the config's
+schedule perturbation.
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import DiggerBeesConfig
+from repro.core.diggerbees import drain
 from repro.core.state import RunState
 from repro.core.twolevel_stack import WarpStack
-from repro.core.warp_dfs import WarpAgent
 from repro.errors import SimulationError
 from repro.graphs.csr import CSRGraph
 from repro.sim.device import DeviceSpec, H100
-from repro.sim.engine import EventLoop
 from repro.validate.reference import ROOT_PARENT, TraversalResult
 
 __all__ = ["MultiSourceResult", "run_diggerbees_multi"]
@@ -107,14 +111,7 @@ def run_diggerbees_multi(
         state.blocks[block_id].set_active(0, True)
         claimed_roots.append(r)
 
-    agents = [
-        WarpAgent(state, b, w)
-        for b in range(config.n_blocks)
-        for w in range(config.warps_per_block)
-    ]
-    engine = EventLoop(agents, is_terminated=state.is_terminated,
-                       max_cycles=config.max_cycles,
-                       scheduler=config.scheduler).run()
+    engine = drain(state)
     if state.pending != 0:
         raise SimulationError(
             f"multi-source run stopped with {state.pending} entries pending"

@@ -224,8 +224,8 @@ def _run_district_round(payload) -> tuple:
                         directed=sub.directed, name=f"{sub.name}#round")
     res = run_diggerbees(vgraph, 0, config=config, device=device)
     newly = unvisited[res.traversal.visited[1:]]
-    return (newly, res.cycles, res.engine.steps, res.engine.exact_cycles,
-            res.counters, int(roots.size))
+    return (newly, res.cycles, res.engine.steps, res.counters,
+            int(roots.size))
 
 
 def _merge_counters(agg: SimCounters, run: SimCounters, n_roots: int,
@@ -353,7 +353,6 @@ def run_sharded(
     counters = SimCounters()
     total_cycles = 0
     total_steps = 0
-    exact = True
     rounds: List[dict] = []
     # Activation inboxes: district -> sorted local root ids.
     inbox: Dict[int, np.ndarray] = {
@@ -410,12 +409,11 @@ def run_sharded(
             round_cycles = 0
             newly_global: List[np.ndarray] = []
             for d, out in zip(active, outs):
-                newly, cycles, steps, run_exact, run_counters, n_roots = out
+                newly, cycles, steps, run_counters, n_roots = out
                 dist = part.districts[d]
                 newly_global.append(dist.global_ids[newly])
                 round_cycles = max(round_cycles, cycles)
                 total_steps += steps
-                exact = exact and run_exact
                 _merge_counters(counters, run_counters, n_roots,
                                 d * config.n_blocks)
             new_mask = np.zeros(n, dtype=bool)
@@ -511,7 +509,6 @@ def run_sharded(
         cycles=total_cycles,
         steps=total_steps,
         agents=config.n_blocks * config.warps_per_block * part.k,
-        exact_cycles=exact,
     )
     return ShardedResult(
         traversal=traversal,

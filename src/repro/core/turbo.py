@@ -25,19 +25,18 @@ the object API compose correctly with unmerged local deltas.
 
 Bit-exactness contract
 ----------------------
-The fused loop replays the calendar scheduler's event order exactly
-(FIFO buckets per distinct timestamp, termination polled before every
-event) and charges identical costs, so cycles, steps, counters, traces,
-and traversal output are bit-for-bit equal to the generic engine on both
-schedulers.  The golden determinism tests and the ``repro.check`` oracle
-ladder's fused-vs-generic rung assert this on every run.
+The fused loop replays the generic engine's calendar-queue event order
+exactly (FIFO buckets per distinct timestamp, termination polled before
+every event) and charges identical costs, so cycles, steps, counters,
+traces, and traversal output are bit-for-bit equal to the reference
+engine (:func:`repro.core.diggerbees.run_diggerbees_reference`).  The
+golden determinism tests and the ``repro.check`` oracle ladder's
+fused-vs-generic rung assert this on every run.
 
-Eligibility: the loop only understands the homogeneous two-level
-fastpath grid with no schedule perturbation.  ``turbo_eligible`` gates
-dispatch: :func:`repro.core.diggerbees.run_diggerbees` runs every
-eligible config through the fused loop and everything else through the
-generic engine, which also stays the reference the oracle ladder
-compares the fused loop against.
+Eligibility: the loop only understands the homogeneous two-level grid
+with no schedule perturbation.  ``turbo_eligible`` gates dispatch:
+:func:`repro.core.diggerbees.run_diggerbees` runs every eligible config
+through the fused loop and everything else through the generic engine.
 """
 
 from __future__ import annotations
@@ -63,14 +62,10 @@ def turbo_eligible(config) -> bool:
     """True when the fused loop can run ``config`` bit-identically.
 
     Requirements: two-level stacks (the loop addresses HotRings through
-    the SoA slabs), the expand fast path (the inline transitions mirror
-    it), no schedule perturbation (the fuzzer's randomized drain order
-    cannot be fused), and not the explicit ``"heap"`` scheduler (the
-    fused loop replays the calendar order; ``"heap"`` is how callers
-    reach the generic reference loop).
+    the SoA slabs) and no schedule perturbation (the fuzzer's randomized
+    drain order cannot be fused).
     """
-    return (config.fastpath and config.two_level
-            and config.perturb_seed is None and config.scheduler != "heap")
+    return config.two_level and config.perturb_seed is None
 
 
 def run_turbo(
@@ -78,14 +73,13 @@ def run_turbo(
     agents: Sequence[WarpAgent],
     *,
     max_cycles: int,
-    deadlock_window: Optional[int] = None,
     on_step: Optional[Callable[[int], None]] = None,
 ) -> EngineResult:
     """Drain the simulation with the fused loop (see module docstring).
 
-    Mirrors ``EventLoop(..., scheduler="calendar", poll_interval=1)``
-    exactly: identical event order, identical costs, identical
-    termination observation point — hence identical ``EngineResult``.
+    Mirrors the unperturbed ``EventLoop`` drain exactly: identical event
+    order, identical costs, identical termination observation point —
+    hence identical ``EngineResult``.
 
     Cyclic GC is paused for the duration of the drain: the run state is
     millions of container objects, and a threshold-triggered gen-2
@@ -97,8 +91,7 @@ def run_turbo(
     if gc_was_enabled:
         gc.disable()
     try:
-        return _drain(state, agents, max_cycles=max_cycles,
-                      deadlock_window=deadlock_window, on_step=on_step)
+        return _drain(state, agents, max_cycles=max_cycles, on_step=on_step)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -109,14 +102,13 @@ def _drain(
     agents: Sequence[WarpAgent],
     *,
     max_cycles: int,
-    deadlock_window: Optional[int] = None,
     on_step: Optional[Callable[[int], None]] = None,
 ) -> EngineResult:
     config = state.config
     costs = state.costs
     counters = state.counters
     n_agents = len(agents)
-    window = deadlock_window or max(10_000, 200 * n_agents)
+    window = max(10_000, 200 * n_agents)
     max_cycles = int(max_cycles)
 
     # Shared-state locals: the SoA slabs and adjacency mirrors.  Every
@@ -449,5 +441,4 @@ def _drain(
         if c2:
             k2 = r2[11]
             tpw[k2] = tpw.get(k2, 0) + c2
-    return EngineResult(cycles=now, steps=steps, agents=n_agents,
-                        exact_cycles=True)
+    return EngineResult(cycles=now, steps=steps, agents=n_agents)

@@ -20,18 +20,17 @@ Costs come from the device's :class:`~repro.sim.device.OpCosts`; the v1
 ablation (one-level stack) pays global-memory latency on every stack
 operation (``gstack_penalty``).
 
-Fast path
----------
-``_expand`` (selected by ``config.fastpath``, the default) scans the
-neighbour window over the plain-Python adjacency mirrors precomputed in
-:class:`~repro.core.state.RunState` (``row_ptr_list``/``col_idx_list``)
-and reads visited flags through ``visited_mv`` — a memoryview aliasing
-the NumPy ``visited`` buffer.  At window width <= 32 this removes the
-per-step NumPy dispatch/allocation overhead that dominates the simulator
-wall-clock.  ``_expand_reference`` keeps the original NumPy
-implementation; both charge identical costs and mutate identical state,
-so schedules are bit-for-bit equal (the golden determinism test asserts
-cycles, steps, and the DFS tree match).
+Expand
+------
+``_expand`` scans the neighbour window over the plain-Python adjacency
+mirrors precomputed in :class:`~repro.core.state.RunState`
+(``row_ptr_list``/``col_idx_list``) and reads visited flags through
+``visited_mv`` — a memoryview aliasing the NumPy ``visited`` buffer.  At
+window width <= 32 this avoids the per-step NumPy dispatch/allocation
+overhead that would otherwise dominate the simulator wall-clock.  The
+fused loop (:mod:`repro.core.turbo`) and the hive's vector expand mirror
+this method; the generic event loop driving it is the reference they
+are checked against.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class WarpAgent:
 
     __slots__ = ("state", "block_id", "warp_id", "block", "stack", "rng",
                  "phase", "intra_plan", "inter_plan", "backoff",
-                 "_two_level", "_gpenalty", "_bit", "_fastpath", "_out",
+                 "_two_level", "_gpenalty", "_bit", "_out",
                  "_hv", "_ho", "_ptrs", "_hpi", "_tpi", "_hsize",
                  "_cptrs", "_cti", "_cbi",
                  "_c_pop", "_c_visit_base", "_c_visit_per_edge",
@@ -99,7 +98,6 @@ class WarpAgent:
         self._two_level = isinstance(self.stack, WarpStack)
         self._gpenalty = 0 if self._two_level else GSTACK_PENALTY
         self._bit = 1 << warp_id
-        self._fastpath = state.config.fastpath
         # SoA fast-path bindings: the HotRing's entry lists and the
         # run-wide head/tail pointer slab with this ring's slot indices.
         # All alias the same storage the HotRing object exposes, so the
@@ -146,81 +144,50 @@ class WarpAgent:
                 return self._reserve_intra(now)
             return self._reserve_inter(now)
         stack = self.stack
-        if self._two_level and self._fastpath:
-            # Inlined _work() for the common case: two-level stack on the
-            # fast path (identical costs/effects, fewer Python frames).
+        if self._two_level:
+            # Read the HotRing/ColdSeg pointers straight off the SoA slab.
             cptrs = self._cptrs
             ptrs = self._ptrs
             hot_empty = ptrs[self._hpi] == ptrs[self._tpi]
-            if not hot_empty or cptrs[self._cti] != cptrs[self._cbi]:
-                block = self.block
-                bit = self._bit
-                if not block.active_mask & bit:
-                    block.active_mask |= bit
-                costs = state.costs
-                self.backoff = costs.idle_poll
-                # Pay any victim-side contention accrued from steals on us.
-                debt = block.contention_debt[self.warp_id]
-                if debt:
-                    block.contention_debt[self.warp_id] = 0
-                if hot_empty:  # cold is non-empty here: refill
-                    moved = stack.refill()
-                    counters = state.counters
-                    counters.refills += 1
-                    counters.refill_entries += moved
-                    if state.trace is not None:
-                        state.record(now, self.block_id, self.warp_id,
-                                     "refill", (moved,))
-                    return StepOutcome(cost=debt + costs.refill_base
-                                       + costs.refill_per_entry * moved)
-                out = self._expand(now)
-                if debt:
-                    out.cost += debt  # not yet visible outside this step
-                return out
+            busy = not hot_empty or cptrs[self._cti] != cptrs[self._cbi]
+        else:
+            hot_empty = False
+            busy = not stack.is_empty
+        if not busy:
             return self._idle(now)
-        if not stack.is_empty:
-            return self._work(now)
-        return self._idle(now)
-
-    # ------------------------------------------------------------------
-    # Active execution.
-    # ------------------------------------------------------------------
-    def _work(self, now: int) -> StepOutcome:
-        state = self.state
-        costs = state.costs
         block = self.block
         bit = self._bit
         if not block.active_mask & bit:
             block.active_mask |= bit
+        costs = state.costs
         self.backoff = costs.idle_poll
-
-        # Pay any victim-side contention accrued from steals against us.
+        # Pay any victim-side contention accrued from steals on us.
         debt = block.contention_debt[self.warp_id]
         if debt:
             block.contention_debt[self.warp_id] = 0
-
-        if self._two_level and self.stack.can_refill():
-            moved = self.stack.refill()
-            state.counters.refills += 1
-            state.counters.refill_entries += moved
-            state.record(now, self.block_id, self.warp_id, "refill", (moved,))
+        if hot_empty:  # two-level with a non-empty ColdSeg: refill
+            moved = stack.refill()
+            counters = state.counters
+            counters.refills += 1
+            counters.refill_entries += moved
+            if state.trace is not None:
+                state.record(now, self.block_id, self.warp_id,
+                             "refill", (moved,))
             return StepOutcome(cost=debt + costs.refill_base
                                + costs.refill_per_entry * moved)
-        if self._fastpath:
-            out = self._expand(now)
-        else:
-            out = self._expand_reference(now)
+        out = self._expand(now)
         if debt:
-            out.cost += debt  # StepOutcome not yet visible outside this step
+            out.cost += debt  # not yet visible outside this step
         return out
 
+    # ------------------------------------------------------------------
+    # Active execution.
+    # ------------------------------------------------------------------
     def _expand(self, now: int) -> StepOutcome:
         """One warp-wide DFS step on the top stack entry (Algorithm 1 body).
 
-        Fast path: identical costs, counters, and mutations to
-        :meth:`_expand_reference`, but the neighbour-window scan runs over
-        the RunState's plain-Python adjacency mirrors instead of NumPy
-        fancy indexing (see module docstring).
+        The neighbour-window scan runs over the RunState's plain-Python
+        adjacency mirrors (see module docstring).
         """
         state = self.state
         counters = state.counters
@@ -360,84 +327,6 @@ class WarpAgent:
             state.record(now, self.block_id, self.warp_id, "visit", (u, v))
         out.cost = cost
         return out
-
-    def _expand_reference(self, now: int) -> StepOutcome:
-        """Reference NumPy implementation of the expand step.
-
-        Selected by ``config.fastpath=False``; kept verbatim so the
-        golden determinism test can assert the fast path reproduces it
-        bit-for-bit.
-        """
-        state = self.state
-        costs = state.costs
-        counters = state.counters
-        graph = state.graph
-        rp, ci = graph.row_ptr, graph.column_idx
-        two_level = self._two_level
-        top = self.stack.hot if two_level else self.stack
-        gpenalty = self._gpenalty
-
-        u, i = top.peek()
-        row_end = int(rp[u + 1])
-        if i >= row_end:
-            # Adjacency exhausted: fast pop (offset notionally set to -1).
-            top.pop()
-            counters.pops += 1
-            state.pending -= 1
-            state.record(now, self.block_id, self.warp_id, "pop", (u,))
-            return StepOutcome(cost=costs.hot_pop + gpenalty)
-
-        window = min(WARP_WIDTH, row_end - i)
-        nbrs = ci[i:i + window]
-        unvis = np.flatnonzero(state.visited[nbrs] == 0)
-        cost = costs.visit_base + costs.visit_per_edge * window + gpenalty
-
-        if unvis.size == 0:
-            # Whole window already visited: consume it.
-            counters.edges_traversed += window
-            new_off = i + window
-            if new_off >= row_end:
-                top.pop()
-                counters.pops += 1
-                state.pending -= 1
-                cost += costs.hot_pop + gpenalty
-                state.record(now, self.block_id, self.warp_id, "pop", (u,))
-            else:
-                top.update_top_offset(new_off)
-            return StepOutcome(cost=cost)
-
-        # Claim the first unvisited neighbour in the window.
-        k = i + int(unvis[0])
-        counters.edges_traversed += int(unvis[0]) + 1
-        v = int(ci[k])
-        top.update_top_offset(k + 1)
-        claimed = state.try_claim_vertex(v, u)
-        cost += costs.visited_cas
-        if not claimed:
-            # Lost the CAS to a concurrent warp (cannot happen under step
-            # atomicity after the visited check, but kept for safety).
-            cost += costs.cas_retry
-            return StepOutcome(cost=cost)
-
-        counters.record_task(self.block_id, self.warp_id)
-        # Push <v | row_ptr[v]>, flushing first when the HotRing is full.
-        if two_level:
-            if self.stack.needs_flush():
-                moved = self.stack.flush()
-                counters.flushes += 1
-                counters.flush_entries += moved
-                cost += costs.flush_base + costs.flush_per_entry * moved
-                state.record(now, self.block_id, self.warp_id, "flush", (moved,))
-            self.stack.hot.push(v, int(rp[v]))
-            counters.max_hot_depth = max(counters.max_hot_depth, len(self.stack.hot))
-            counters.max_cold_depth = max(counters.max_cold_depth, len(self.stack.cold))
-        else:
-            self.stack.push(v, int(rp[v]))
-        counters.pushes += 1
-        state.pending += 1
-        cost += costs.hot_push + gpenalty
-        state.record(now, self.block_id, self.warp_id, "visit", (u, v))
-        return StepOutcome(cost=cost)
 
     # ------------------------------------------------------------------
     # Idle execution: stealing and polling.

@@ -12,37 +12,26 @@ Determinism: events are totally ordered by ``(ready_at, seq)`` where
 same seed produce identical schedules.  (FIFO tie-breaking also mirrors
 fair hardware arbitration of simultaneous requests.)
 
-Two schedulers implement that contract bit-for-bit identically:
+The drain is a bucketed calendar queue: events land in a FIFO bucket
+per distinct ``ready_at`` and a small heap orders only the distinct
+timestamps.  Because an agent is always rescheduled at ``now + cost``
+with ``cost >= 1``, insertions never target the bucket currently
+draining, and because ``seq`` order equals scheduling order, bucket
+FIFO order *is* ``seq`` order.  This generic loop is the reference
+engine: the fused DiggerBees loop (:mod:`repro.core.turbo`) replays its
+event order exactly, and the golden determinism tests and the
+``repro.check`` oracle ladder hold the fused loop to it bit for bit.
 
-* ``"heap"`` — the classic binary heap.  Entries are mutable three-slot
-  lists that are *reused* across reschedules (the popped entry is
-  refreshed in place and pushed back), so the steady state allocates no
-  per-step tuples.
-* ``"calendar"`` — a bucketed calendar queue: events land in a FIFO
-  bucket per distinct ``ready_at`` and a small heap orders only the
-  distinct timestamps.  Because an agent is always rescheduled at
-  ``now + cost`` with ``cost >= 1``, insertions never target the bucket
-  currently draining, and because ``seq`` order equals scheduling order,
-  bucket FIFO order *is* ``seq`` order.  This is the fast path when many
-  agents share timestamps (the common small-cost case).
-
-``scheduler="auto"`` (the default) selects the calendar queue.  The
-golden determinism tests assert both produce identical ``EngineResult``
-and traversal output.
-
-Termination is algorithm-defined via ``is_terminated``; the engine adds a
-deadlock guard (progress must occur within ``deadlock_window`` consecutive
+Termination is algorithm-defined via ``is_terminated``, polled before
+every event, so cycle counts are exact; the engine adds a deadlock
+guard (progress must occur within ``deadlock_window`` consecutive
 steps) and a hard ``max_cycles`` safety net.  The budget is checked
 against each event's ``ready_at`` *before* the step executes, so no
-over-budget step is ever run.  ``poll_interval`` trades termination-check
-frequency for speed: with the default of 1 the predicate is polled before
-every step (exact, bit-for-bit reproducible cycle counts); larger values
-poll every N steps, which can overshoot the final cycle count by a few
-events and is only meant for throwaway capacity sweeps.
+over-budget step is ever run.
 
 Schedule fuzzing (``repro.check``)
 ----------------------------------
-``perturb_seed`` switches the loop into the *perturbed* scheduler used by
+``perturb_seed`` switches the loop into the *perturbed* drain used by
 the correctness fuzzer: tie-breaking among same-cycle events is
 randomized (instead of FIFO) and ``jitter`` adds a random 0..jitter cycle
 latency to every reschedule, both drawn from a ``random.Random`` seeded
@@ -60,15 +49,12 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 from repro.errors import DeadlockError, SimulationError
 
-__all__ = ["Agent", "StepOutcome", "EngineResult", "EventLoop", "SCHEDULERS",
+__all__ = ["Agent", "StepOutcome", "EngineResult", "EventLoop",
            "over_budget_error", "deadlocked_error", "non_positive_cost_error"]
-
-#: Accepted ``scheduler`` arguments ("auto" resolves to the calendar queue).
-SCHEDULERS = ("auto", "heap", "calendar")
 
 
 # ----------------------------------------------------------------------
@@ -144,20 +130,11 @@ class Agent(Protocol):
 
 @dataclass
 class EngineResult:
-    """Outcome of one simulation: elapsed cycles and scheduling stats.
-
-    ``exact_cycles`` is True when the termination predicate was polled
-    before every event (``poll_interval == 1``), i.e. the cycle count is
-    bit-for-bit reproducible.  With ``poll_interval > 1`` the loop may
-    execute a few events past the logical end, so ``cycles`` can
-    overshoot — consumers that gate on cycle counts (``repro.bench``)
-    must refuse inexact results.
-    """
+    """Outcome of one simulation: elapsed cycles and scheduling stats."""
 
     cycles: int
     steps: int
     agents: int
-    exact_cycles: bool = True
 
     def seconds(self, clock_hz: float) -> float:
         return self.cycles / clock_hz
@@ -183,21 +160,14 @@ class EventLoop:
         ``is_terminated`` stays False, raise ``DeadlockError``.  Sized
         generously relative to the agent count so legitimate idle phases
         (everyone polling while one warp works) never trip it.
-    scheduler:
-        ``"heap"``, ``"calendar"``, or ``"auto"`` (default; resolves to
-        the calendar queue).  Both produce identical schedules.
-    poll_interval:
-        Check ``is_terminated`` every this many steps.  1 (default) is
-        exact; values > 1 are faster but may overshoot the final cycle
-        count — never use them when cycle counts must be reproducible.
     perturb_seed:
-        When not None, run the *perturbed* scheduler: same-cycle events
-        are drained in a random (seeded, deterministic) order instead of
+        When not None, run the *perturbed* drain: same-cycle events are
+        drained in a random (seeded, deterministic) order instead of
         FIFO, exploring alternative legal interleavings.  Used by the
-        ``repro.check`` schedule fuzzer; overrides ``scheduler``.
+        ``repro.check`` schedule fuzzer.
     jitter:
         Maximum extra latency (cycles) randomly added to each reschedule
-        under the perturbed scheduler.  Requires ``perturb_seed``.
+        under the perturbed drain.  Requires ``perturb_seed``.
     on_step:
         Optional observer called with the cumulative step count after
         every executed step (invariant-monitor hook).
@@ -210,22 +180,12 @@ class EventLoop:
         is_terminated: Callable[[], bool],
         max_cycles: int = 50_000_000_000,
         deadlock_window: Optional[int] = None,
-        scheduler: str = "auto",
-        poll_interval: int = 1,
         perturb_seed: Optional[int] = None,
         jitter: int = 0,
         on_step: Optional[Callable[[int], None]] = None,
     ):
         if not agents:
             raise SimulationError("event loop needs at least one agent")
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
-        if poll_interval < 1:
-            raise SimulationError(
-                f"poll_interval must be >= 1, got {poll_interval}"
-            )
         if jitter < 0:
             raise SimulationError(f"jitter must be >= 0, got {jitter}")
         if jitter and perturb_seed is None:
@@ -234,8 +194,6 @@ class EventLoop:
         self._is_terminated = is_terminated
         self._max_cycles = int(max_cycles)
         self._deadlock_window = deadlock_window or max(10_000, 200 * len(agents))
-        self._scheduler = "calendar" if scheduler == "auto" else scheduler
-        self._poll_interval = int(poll_interval)
         self._perturb_seed = perturb_seed
         self._jitter = int(jitter)
         self._on_step = on_step
@@ -244,8 +202,6 @@ class EventLoop:
         """Run to termination; returns elapsed cycles and step count."""
         if self._perturb_seed is not None:
             return self._run_perturbed()
-        if self._scheduler == "heap":
-            return self._run_heap()
         return self._run_calendar()
 
     # ------------------------------------------------------------------
@@ -256,102 +212,38 @@ class EventLoop:
         return deadlocked_error(stale, now)
 
     # ------------------------------------------------------------------
-    def _run_heap(self) -> EngineResult:
-        """Binary-heap scheduler with slot-reuse entries."""
-        # Entries are mutable [ready_at, seq, agent] lists; the initial
-        # ascending-seq layout is already heap-ordered.
-        heap: List[list] = [[0, seq, agent]
-                            for seq, agent in enumerate(self._agents)]
-        next_seq = len(self._agents)
-        now = 0
-        steps = 0
-        stale = 0
-        countdown = 1  # force a termination check before the first step
-
-        # Hot-loop locals.
-        pop = heapq.heappop
-        push = heapq.heappush
-        is_terminated = self._is_terminated
-        max_cycles = self._max_cycles
-        window = self._deadlock_window
-        poll = self._poll_interval
-        on_step = self._on_step
-
-        while heap:
-            countdown -= 1
-            if countdown == 0:
-                if is_terminated():
-                    break
-                countdown = poll
-            entry = pop(heap)
-            ready_at = entry[0]
-            agent = entry[2]
-            if ready_at > now:
-                if ready_at > max_cycles:
-                    raise self._over_budget(ready_at, steps)
-                now = ready_at
-            outcome = agent.step(now)
-            steps += 1
-            if on_step is not None:
-                on_step(steps)
-            if outcome.made_progress:
-                stale = 0
-            else:
-                stale += 1
-                if stale > window:
-                    raise self._deadlocked(stale, now)
-            if not outcome.done:
-                cost = outcome.cost
-                if cost < 1:
-                    raise non_positive_cost_error(agent, cost)
-                # Slot reuse: refresh the popped entry in place.
-                entry[0] = now + cost
-                entry[1] = next_seq
-                next_seq += 1
-                push(heap, entry)
-
-        return EngineResult(cycles=now, steps=steps, agents=len(self._agents),
-                            exact_cycles=poll == 1)
-
-    # ------------------------------------------------------------------
     def _run_calendar(self) -> EngineResult:
-        """Bucketed calendar-queue scheduler.
+        """Bucketed calendar-queue drain.
 
         ``buckets`` maps each distinct ``ready_at`` to a FIFO list of
         agents; ``times`` is a heap over the distinct timestamps only.
         Rescheduling appends at ``now + cost > now``, so the bucket being
         drained never grows, and appends happen in ``seq`` order — the
-        drain order is exactly the heap scheduler's ``(ready_at, seq)``.
+        drain order is exactly ``(ready_at, seq)``.
         """
         buckets = {0: list(self._agents)}
         times = [0]
         now = 0
         steps = 0
         stale = 0
-        countdown = 1
 
         pop_time = heapq.heappop
         push_time = heapq.heappush
         is_terminated = self._is_terminated
         max_cycles = self._max_cycles
         window = self._deadlock_window
-        poll = self._poll_interval
         on_step = self._on_step
 
         while times:
             t = times[0]
             bucket = buckets[t]
             for agent in bucket:
-                # Order matters for bit-exactness with the heap scheduler:
+                # Order matters for bit-exactness with the fused loop:
                 # termination is observed *before* time advances to this
                 # event, so `cycles` never includes an abandoned event.
-                countdown -= 1
-                if countdown == 0:
-                    if is_terminated():
-                        return EngineResult(cycles=now, steps=steps,
-                                            agents=len(self._agents),
-                                            exact_cycles=poll == 1)
-                    countdown = poll
+                if is_terminated():
+                    return EngineResult(cycles=now, steps=steps,
+                                        agents=len(self._agents))
                 if t > now:
                     if t > max_cycles:
                         raise self._over_budget(t, steps)
@@ -380,8 +272,7 @@ class EventLoop:
             pop_time(times)
             del buckets[t]
 
-        return EngineResult(cycles=now, steps=steps, agents=len(self._agents),
-                            exact_cycles=poll == 1)
+        return EngineResult(cycles=now, steps=steps, agents=len(self._agents))
 
     # ------------------------------------------------------------------
     def _run_perturbed(self) -> EngineResult:
@@ -389,7 +280,7 @@ class EventLoop:
 
         A binary heap over ``(ready_at, rand, seq, agent)`` entries:
         ``rand`` scrambles the order of same-cycle events (FIFO in the
-        production schedulers) and ``seq`` keeps the comparison total so
+        calendar drain) and ``seq`` keeps the comparison total so
         agents are never compared.  With ``jitter > 0`` each reschedule
         lands ``cost + U[0, jitter]`` cycles out.  Every choice is drawn
         from ``random.Random(perturb_seed)``, so a (seed, jitter) pair
@@ -405,22 +296,17 @@ class EventLoop:
         now = 0
         steps = 0
         stale = 0
-        countdown = 1
 
         pop = heapq.heappop
         push = heapq.heappush
         is_terminated = self._is_terminated
         max_cycles = self._max_cycles
         window = self._deadlock_window
-        poll = self._poll_interval
         on_step = self._on_step
 
         while heap:
-            countdown -= 1
-            if countdown == 0:
-                if is_terminated():
-                    break
-                countdown = poll
+            if is_terminated():
+                break
             ready_at, _, _, agent = pop(heap)
             if ready_at > now:
                 if ready_at > max_cycles:
@@ -445,5 +331,4 @@ class EventLoop:
                 push(heap, (now + cost, randbits(32), next_seq, agent))
                 next_seq += 1
 
-        return EngineResult(cycles=now, steps=steps, agents=len(self._agents),
-                            exact_cycles=poll == 1)
+        return EngineResult(cycles=now, steps=steps, agents=len(self._agents))

@@ -35,7 +35,6 @@ def _assert_same(ref, res, label):
     assert np.array_equal(res.traversal.parent, ref.traversal.parent), label
     assert np.array_equal(res.traversal.visited, ref.traversal.visited), label
     assert res.counters == ref.counters, label
-    assert res.engine.exact_cycles, label
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -103,18 +102,18 @@ class TestEligibility:
         assert hive_eligible(DiggerBeesConfig())
 
     @pytest.mark.parametrize("overrides", [
-        {"fastpath": False},
         {"two_level": False},
         {"perturb_seed": 3},
-        {"scheduler": "heap"},
+        {"perturb_seed": 3, "jitter": 2},
         {"trace": True},
+        {"two_level": False, "trace": True},
     ])
     def test_ineligible_conditions(self, overrides):
         assert not hive_eligible(DiggerBeesConfig(**overrides))
 
     def test_run_hive_rejects_ineligible_config(self):
         case = _family_case("path")
-        cfg = case.build_config(fastpath=False)
+        cfg = case.build_config(two_level=False)
         with pytest.raises(SimulationError, match="not hive-eligible"):
             run_hive(case.build_graph(), [(0, cfg)])
 

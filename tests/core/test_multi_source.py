@@ -161,3 +161,51 @@ class TestSwarmEquivalence:
         assert np.array_equal(lanes[0].level, lanes[1].level)
         assert np.array_equal(lanes[0].traversal.visited,
                               lanes[1].traversal.visited)
+
+
+class TestDrainPath:
+    """Multi-source runs drain like single-source ones: the fused loop
+    when the config allows it, the generic loop (with the config's
+    schedule perturbation) otherwise."""
+
+    CASES = {
+        "road": (lambda: gen.road_network(600, seed=9), [0, 100, 300],
+                 DiggerBeesConfig(n_blocks=4, warps_per_block=2, seed=9)),
+        "social": (lambda: gen.preferential_attachment(500, m=3, seed=4),
+                   [0, 50, 250, 499],
+                   DiggerBeesConfig(n_blocks=4, warps_per_block=4, seed=4)),
+        "tight_mesh": (lambda: gen.delaunay_mesh(400, seed=5), [0, 7, 200],
+                       CFG),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_fused_matches_reference_on_multi_root_seeds(self, name,
+                                                         monkeypatch):
+        from repro.core import diggerbees
+
+        build, roots, cfg = self.CASES[name]
+        graph = build()
+        fused = run_diggerbees_multi(graph, roots, config=cfg)
+        # Declining every config routes the drain to the generic loop.
+        monkeypatch.setattr(diggerbees, "turbo_eligible", lambda c: False)
+        ref = run_diggerbees_multi(graph, roots, config=cfg)
+        assert fused.cycles == ref.cycles
+        assert fused.roots == ref.roots
+        assert np.array_equal(fused.traversal.parent, ref.traversal.parent)
+        assert np.array_equal(fused.traversal.visited,
+                              ref.traversal.visited)
+        assert fused.counters == ref.counters
+
+    def test_perturbed_run_changes_schedule_and_validates(self):
+        build, roots, cfg = self.CASES["road"]
+        graph = build()
+        base = run_diggerbees_multi(graph, roots, config=cfg)
+        pert = run_diggerbees_multi(
+            graph, roots, config=cfg.with_overrides(perturb_seed=3, jitter=4),
+            check_invariants=True)
+        assert pert.cycles != base.cycles
+        assert not np.array_equal(pert.traversal.parent,
+                                  base.traversal.parent)
+        assert np.array_equal(pert.traversal.visited, base.traversal.visited)
+        assert pert.roots == base.roots
+        forest_is_valid(graph, pert)

@@ -14,7 +14,7 @@ import pytest
 from repro.check.cases import FAMILIES, FuzzCase
 from repro.core import diggerbees
 from repro.core.config import DiggerBeesConfig
-from repro.core.diggerbees import run_diggerbees
+from repro.core.diggerbees import run_diggerbees, run_diggerbees_reference
 from repro.core.turbo import turbo_eligible
 
 
@@ -49,26 +49,19 @@ def _engine_spy(monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_turbo_bit_identical_across_families(family):
-    """fused == generic fastpath == generic reference on
+    """fused == the generic reference engine on
     cycles/steps/output/counters."""
     case = _family_case(family)
     graph = case.build_graph()
     cfg = case.build_config()
     assert turbo_eligible(cfg)  # the fused loop actually engages
     turbo = run_diggerbees(graph, case.root, config=cfg)
-    fast = run_diggerbees(graph, case.root,
-                          config=case.build_config(scheduler="heap"))
-    ref = run_diggerbees(graph, case.root,
-                         config=case.build_config(fastpath=False))
-    for label, other in (("fastpath", fast), ("reference", ref)):
-        assert turbo.cycles == other.cycles, label
-        assert turbo.engine.steps == other.engine.steps, label
-        assert np.array_equal(turbo.traversal.parent,
-                              other.traversal.parent), label
-        assert np.array_equal(turbo.traversal.visited,
-                              other.traversal.visited), label
-        assert turbo.counters == other.counters, label
-    assert turbo.engine.exact_cycles
+    ref = run_diggerbees_reference(graph, case.root, config=cfg)
+    assert turbo.cycles == ref.cycles
+    assert turbo.engine.steps == ref.engine.steps
+    assert np.array_equal(turbo.traversal.parent, ref.traversal.parent)
+    assert np.array_equal(turbo.traversal.visited, ref.traversal.visited)
+    assert turbo.counters == ref.counters
 
 
 class TestEligibility:
@@ -84,17 +77,19 @@ class TestEligibility:
         assert taken == ["fused", "fused"]
 
     def test_config_has_no_loop_knob(self):
-        """The execution path is not configurable: the retired turbo
-        field is rejected."""
-        assert "turbo" not in DiggerBeesConfig.__dataclass_fields__
-        with pytest.raises(TypeError):
-            DiggerBeesConfig(turbo=True)
+        """The execution path is not configurable: the retired turbo,
+        scheduler and fastpath fields are rejected."""
+        for field, value in (("turbo", True), ("scheduler", "heap"),
+                             ("fastpath", False)):
+            assert field not in DiggerBeesConfig.__dataclass_fields__
+            with pytest.raises(TypeError):
+                DiggerBeesConfig(**{field: value})
 
     @pytest.mark.parametrize("overrides", [
-        {"fastpath": False},
         {"two_level": False},
         {"perturb_seed": 3},
-        {"scheduler": "heap"},
+        {"perturb_seed": 3, "jitter": 2},
+        {"two_level": False, "perturb_seed": 1},
     ])
     def test_fallback_conditions(self, overrides):
         cfg = DiggerBeesConfig(**overrides)
@@ -103,8 +98,8 @@ class TestEligibility:
     @pytest.mark.parametrize("overrides", [
         {"two_level": False},
         {"perturb_seed": 5, "jitter": 2},
-        {"scheduler": "heap"},
-        {"fastpath": False},
+        {"perturb_seed": 3},
+        {"two_level": False, "perturb_seed": 1, "jitter": 1},
     ])
     def test_ineligible_configs_take_event_loop(self, monkeypatch,
                                                 overrides):
@@ -118,15 +113,3 @@ class TestEligibility:
         assert taken == ["generic"]
         assert res.traversal.visited.all()
 
-
-def test_exact_cycles_reported():
-    """The fused loop polls termination before every event, so its cycle
-    counts are always exact; the generic loop reports exactness from its
-    poll interval."""
-    case = _family_case("grid2d")
-    graph = case.build_graph()
-    turbo = run_diggerbees(graph, case.root, config=case.build_config())
-    assert turbo.engine.exact_cycles is True
-    plain = run_diggerbees(graph, case.root,
-                           config=case.build_config(scheduler="heap"))
-    assert plain.engine.exact_cycles is True

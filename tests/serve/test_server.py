@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.config import ServeConfig
+from repro.core.config import DiggerBeesConfig, ServeConfig
 from repro.core.diggerbees import run_diggerbees
 from repro.errors import ServeError
 from repro.graphs import generators as gen
@@ -127,10 +127,17 @@ def test_error_responses_do_not_kill_the_daemon():
 
 
 def test_retired_loop_knobs_get_unknown_field_errors():
-    """The execution path is not a request knob: the retired turbo and
-    hive_steal engine-config fields are rejected per request."""
+    """The execution path is not a request knob: the retired turbo,
+    hive_steal, scheduler and fastpath engine-config fields are rejected
+    per request, and DiggerBeesConfig itself no longer has them."""
+    retired = (("turbo", True), ("hive_steal", "scalar"),
+               ("scheduler", "heap"), ("fastpath", False))
+    for field, value in retired:
+        with pytest.raises(TypeError):
+            DiggerBeesConfig(**{field: value})
+
     async def scenario(client, **_):
-        for field, value in (("turbo", True), ("hive_steal", "scalar")):
+        for field, value in retired:
             with pytest.raises(ServeError,
                                match="unknown engine-config"):
                 await client.dfs("path", 0, config={field: value})

@@ -1,6 +1,8 @@
 """Unit tests for the event-driven execution engine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import EventLoop, StepOutcome
@@ -20,6 +22,21 @@ class CountdownAgent:
         if self.work <= 0:
             return StepOutcome(cost=self.cost, done=True)
         return StepOutcome(cost=self.cost)
+
+
+class LoggingAgent:
+    """Runs a fixed list of step costs, appending ``(now, tag)`` to a
+    shared log at every step."""
+
+    def __init__(self, tag, costs, log):
+        self.tag = tag
+        self.costs = list(costs)
+        self.log = log
+
+    def step(self, now):
+        self.log.append((now, self.tag))
+        cost = self.costs.pop(0)
+        return StepOutcome(cost=cost, done=not self.costs)
 
 
 class TestEventLoop:
@@ -121,58 +138,81 @@ class TestEventLoop:
 class TestMaxCyclesBoundary:
     """The budget is checked against ``ready_at`` *before* executing."""
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_event_exactly_at_budget_executes(self, scheduler):
+    #: Both drains check the budget: the calendar queue and the
+    #: fuzzer's perturbed heap.
+    DRAINS = pytest.mark.parametrize("perturb_seed", [None, 0],
+                                     ids=["calendar", "perturbed"])
+
+    @DRAINS
+    def test_event_exactly_at_budget_executes(self, perturb_seed):
         # Events at 0, 10, 20; max_cycles=20 admits all three.
         a = CountdownAgent(3, cost=10)
-        res = EventLoop([a], is_terminated=lambda: False,
-                        max_cycles=20, scheduler=scheduler).run()
+        res = EventLoop([a], is_terminated=lambda: False, max_cycles=20,
+                        perturb_seed=perturb_seed).run()
         assert a.steps_at == [0, 10, 20]
         assert res.cycles == 20 and res.steps == 3
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_over_budget_event_never_executes(self, scheduler):
+    @DRAINS
+    def test_over_budget_event_never_executes(self, perturb_seed):
         # The event at 20 exceeds max_cycles=19 and must raise without
         # the agent ever observing now=20.
         a = CountdownAgent(3, cost=10)
-        loop = EventLoop([a], is_terminated=lambda: False,
-                         max_cycles=19, scheduler=scheduler)
+        loop = EventLoop([a], is_terminated=lambda: False, max_cycles=19,
+                         perturb_seed=perturb_seed)
         with pytest.raises(SimulationError, match="max_cycles"):
             loop.run()
         assert a.steps_at == [0, 10]
 
 
-class TestSchedulerEquivalence:
-    """heap and calendar implement the same (ready_at, seq) total order."""
+def _sort_model_order(cost_lists):
+    """Execution log of a reference drain: repeatedly run the pending
+    event with the smallest ``(ready_at, seq)``, where ``seq`` numbers
+    events in the order they were scheduled."""
+    remaining = [list(costs) for costs in cost_lists]
+    pending = [(0, agent, agent) for agent in range(len(remaining))]
+    next_seq = len(pending)
+    log = []
+    while pending:
+        pending.sort()
+        ready_at, _, agent = pending.pop(0)
+        log.append((ready_at, agent))
+        cost = remaining[agent].pop(0)
+        if remaining[agent]:
+            pending.append((ready_at + cost, next_seq, agent))
+            next_seq += 1
+    return log
 
-    @pytest.mark.parametrize("scheduler", ["auto", "heap", "calendar"])
-    def test_scheduler_names_accepted(self, scheduler):
-        a = CountdownAgent(2, cost=3)
-        EventLoop([a], is_terminated=lambda: False, scheduler=scheduler).run()
+
+class TestSchedulerEquivalence:
+    """The calendar drain is equivalent to a sort model of the
+    ``(ready_at, seq)`` total order; it is the only unperturbed drain."""
+
+    @given(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=10),
+                    min_size=1, max_size=8))
+    # Same-cycle FIFO: agent 1 is rescheduled for cycle 4 (at cycle 1)
+    # before agent 0 is (at cycle 2), so at cycle 4 it must run first.
+    @example([[2, 2, 1], [1, 3, 1]])
+    @settings(max_examples=150, deadline=None)
+    def test_identical_step_order_and_result(self, cost_lists):
+        # Costs in 1..4 make same-cycle events common, so the FIFO
+        # tie-break among them is exercised on most examples.
+        log = []
+        agents = [LoggingAgent(i, costs, log)
+                  for i, costs in enumerate(cost_lists)]
+        res = EventLoop(agents, is_terminated=lambda: False).run()
+        assert log == _sort_model_order(cost_lists)
+        assert res.steps == len(log)
+        assert res.cycles == log[-1][0]
 
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError, match="scheduler"):
+        """The heap drain and its ``scheduler`` selector are gone."""
+        with pytest.raises(TypeError):
             EventLoop([CountdownAgent(1)], is_terminated=lambda: False,
-                      scheduler="fifo")
-
-    def test_identical_step_order_and_result(self):
-        def make_agents():
-            # Mixed costs force both shared-timestamp buckets and
-            # interleaving reschedules.
-            return [CountdownAgent(6, cost=c) for c in (3, 3, 7, 1, 5)]
-
-        results = {}
-        traces = {}
-        for scheduler in ("heap", "calendar"):
-            agents = make_agents()
-            results[scheduler] = EventLoop(
-                agents, is_terminated=lambda: False, scheduler=scheduler
-            ).run()
-            traces[scheduler] = [a.steps_at for a in agents]
-        assert results["heap"] == results["calendar"]
-        assert traces["heap"] == traces["calendar"]
+                      scheduler="heap")
 
     def test_poll_interval_validation(self):
-        with pytest.raises(SimulationError, match="poll_interval"):
+        """Termination is polled before every event; the interval is no
+        longer a parameter."""
+        with pytest.raises(TypeError):
             EventLoop([CountdownAgent(1)], is_terminated=lambda: False,
-                      poll_interval=0)
+                      poll_interval=1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiggerBeesConfig, run_diggerbees
+from repro.core.diggerbees import run_diggerbees_reference
 from repro.errors import SimulationError
 from repro.graphs import generators as gen
 from repro.sim.engine import EventLoop
@@ -76,12 +77,11 @@ class TestValidation:
 
 class TestDefaultPathUnchanged:
     def test_unperturbed_schedule_matches_pre_fuzz_engine(self):
-        """perturb_seed=None must take the production scheduler path:
-        heap and calendar agree and results are reproducible."""
+        """perturb_seed=None must take the production path: the fused
+        loop, bit-identical to the generic reference loop."""
         g = gen.road_network(300, seed=11)
-        heap = run_diggerbees(g, 0, config=CFG)
-        cal = run_diggerbees(g, 0,
-                             config=CFG.with_overrides(scheduler="calendar"))
-        assert heap.cycles == cal.cycles
-        assert heap.engine.steps == cal.engine.steps
-        assert np.array_equal(heap.traversal.parent, cal.traversal.parent)
+        fused = run_diggerbees(g, 0, config=CFG)
+        ref = run_diggerbees_reference(g, 0, config=CFG)
+        assert fused.cycles == ref.cycles
+        assert fused.engine.steps == ref.engine.steps
+        assert np.array_equal(fused.traversal.parent, ref.traversal.parent)
