@@ -16,24 +16,33 @@ active-mask bits clear).  Four steps, split across two simulator events:
 4. **Remote transfer** — ``threadfence()`` then an asynchronous copy of
    ``cold_cutoff / 2`` entries from the victim's ColdSeg (global memory)
    into the leader's HotRing; the leader and its block turn active.
+
+Steps 1-2 run on every idle poll of every idle block's leader, mostly
+failing, so they are kept cheap.  The bounded-retry sampling loop runs
+in one :func:`repro.utils.fastrand.sample_active` call over the
+leader's buffered stream.  When both samples land on the same block,
+there is no load to compare.  Otherwise the block loads, and then the
+victim block's ``cold_rest`` values, are read straight off the run's
+``hot_ptr_slab``/``cold_ptr_slab`` rather than through the stack objects.
+The fused loop (:mod:`repro.core.turbo`) calls :func:`select_victim`
+directly, and the hive's leader pass calls :func:`select_victim_block`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.state import RunState
 from repro.core.twolevel_stack import WarpStack
+from repro.utils.fastrand import sample_active
 
 __all__ = ["InterStealPlan", "select_victim", "select_victim_block",
            "select_victim_warps_batch", "execute_steal"]
 
 
-@dataclass(frozen=True)
-class InterStealPlan:
+class InterStealPlan(NamedTuple):
     """Outcome of victim block+warp selection.
 
     ``remote`` marks a cross-GPU steal (multi-GPU extension): same CAS
@@ -48,37 +57,29 @@ class InterStealPlan:
     remote: bool = False
 
 
-def _sample_active_blocks(state: RunState, my_block: int,
-                          rng, k: int,
-                          gpu_id=None) -> list:
-    """Sample up to ``k`` active blocks (!= mine), with bounded retries.
+#: Draws a leader makes looking for two active blocks (``4 * k + 8``).
+_SAMPLE_ATTEMPTS = 16
 
-    Mirrors the hardware reality that the leader probes a few random mask
-    words rather than scanning all blocks.  With ``gpu_id`` set, sampling
-    is restricted to that GPU's block range (same-GPU stealing); with
-    ``gpu_id=None`` any block qualifies (remote fallback).
+
+def _workload(state: RunState, b: int) -> int:
+    """``blocks[b].workload()`` read straight off the pointer slabs.
+
+    Two-level stacks only: warp ``g``'s HotRing (head, tail) and ColdSeg
+    (top, bottom) pairs sit at slots ``(2g, 2g + 1)`` of
+    ``hot_ptr_slab``/``cold_ptr_slab``.
     """
     cfg = state.config
-    if gpu_id is None:
-        lo, hi = 0, cfg.n_blocks
-    else:
-        lo = gpu_id * cfg.blocks_per_gpu
-        hi = lo + cfg.blocks_per_gpu
-    amask = state.active_mask_slab  # direct slab reads: skip property dispatch
-    draw = rng.integers
-    found = []
-    n_found = 0
-    max_attempts = 4 * k + 8
-    for _ in range(max_attempts):
-        b = int(draw(lo, hi))
-        if b == my_block:
-            continue
-        if amask[b]:  # inlined `not .idle`
-            found.append(b)
-            n_found += 1
-            if n_found == k:
-                break
-    return found
+    hsize = cfg.hot_size
+    ptrs = state.hot_ptr_slab
+    cptrs = state.cold_ptr_slab
+    p0 = 2 * b * cfg.warps_per_block
+    total = 0
+    for p in range(p0, p0 + 2 * cfg.warps_per_block, 2):
+        d = ptrs[p] - ptrs[p + 1]
+        if d < 0:
+            d += hsize
+        total += d + cptrs[p] - cptrs[p + 1]
+    return total
 
 
 def select_victim_block(state: RunState, my_block: int, rng):
@@ -93,37 +94,48 @@ def select_victim_block(state: RunState, my_block: int, rng):
     (:func:`select_victim_warps_batch`).
     """
     cfg = state.config
+    bpg = cfg.blocks_per_gpu
     my_gpu = state.blocks[my_block].gpu_id
+    lo = my_gpu * bpg  # my GPU's first block
     if cfg.victim_policy == "two_choice":
+        # Sample up to two active blocks (!= mine) of my GPU with bounded
+        # retries: the leader probes a few random mask words rather than
+        # scanning all blocks.
+        mask = state.active_mask_slab
         remote = False
-        candidates = _sample_active_blocks(state, my_block, rng, 2,
-                                           gpu_id=my_gpu)
+        candidates = sample_active(rng, lo, lo + bpg, my_block, mask,
+                                   2, _SAMPLE_ATTEMPTS)
         if not candidates and cfg.n_gpus > 1:
             # Multi-GPU extension: when this whole GPU is dry, its leader
-            # block falls back to NVLink-priced remote stealing.
+            # block falls back to NVLink-priced remote stealing, sampling
+            # any block.
             if (state.gpu_idle(my_gpu)
                     and my_block == state.gpu_leader_block(my_gpu)):
-                candidates = _sample_active_blocks(state, my_block, rng, 2)
+                candidates = sample_active(rng, 0, cfg.n_blocks, my_block,
+                                           mask, 2, _SAMPLE_ATTEMPTS)
                 remote = True
         if not candidates:
             return None
         # Load-aware choice: higher cumulative workload wins (first wins
-        # ties, matching max() semantics on the sampled order).
-        if len(candidates) == 1:
-            vb = candidates[0]
-        else:
-            b0, b1 = candidates
-            blocks = state.blocks
-            vb = (b0 if blocks[b0].workload() >= blocks[b1].workload()
-                  else b1)
+        # ties, matching max() semantics on the sampled order).  Both
+        # samples often land on the same block: no load to compare.
+        vb = candidates[0]
+        if len(candidates) == 2 and candidates[1] != vb:
+            b1 = candidates[1]
+            if cfg.two_level:
+                w0, w1 = _workload(state, vb), _workload(state, b1)
+            else:
+                w0 = state.blocks[vb].workload()
+                w1 = state.blocks[b1].workload()
+            if w0 < w1:
+                vb = b1
         return vb, remote
     # "random": the Figure 9 baseline — a uniformly random block with
     # no activity or load awareness, so probes frequently land on
     # idle/empty blocks and work spreads slowly and unevenly.
-    if cfg.blocks_per_gpu < 2:
+    if bpg < 2:
         return None
-    lo = my_gpu * cfg.blocks_per_gpu
-    vb = lo + int(rng.integers(0, cfg.blocks_per_gpu))
+    vb = lo + int(rng.integers(0, bpg))
     if vb == my_block:
         return None
     return vb, False
@@ -154,8 +166,8 @@ def select_victim(state: RunState, my_block: int,
     """Steps 1-2 of Algorithm 4: pick a victim block, then its fullest warp.
 
     ``rng`` is the leader's ``Generator`` or its bit-exact
-    :class:`repro.utils.fastrand.BoundedDraws` replica — only the
-    two-argument ``integers(lo, hi)`` surface is used.
+    :class:`repro.utils.fastrand.BoundedDraws` replica; both draw the
+    same blocks from the same stream.
 
     Returns None when no active block was found or no warp in the chosen
     block reaches ``cold_cutoff``.
@@ -165,12 +177,17 @@ def select_victim(state: RunState, my_block: int,
         return None
     vb, remote = chosen
 
-    victim_block = state.blocks[vb]
-    cutoff = state.config.cold_cutoff
+    cfg = state.config
+    if not cfg.two_level:
+        return None  # one-level stacks have no ColdSeg to steal from
+    cutoff = cfg.cold_cutoff
+    cptrs = state.cold_ptr_slab
+    p0 = 2 * vb * cfg.warps_per_block  # victim block's first (top, bottom)
     fuzz = state.fuzz_rng
     if fuzz is not None:
         # Adversarial fuzzing: random qualifying warp instead of the
         # deterministic fullest one (see intra_steal.select_victim).
+        victim_block = state.blocks[vb]
         qualifying = [
             (w, rest) for w in range(victim_block.n_warps)
             if (rest := victim_block.cold_rest(w)) >= cutoff
@@ -179,27 +196,23 @@ def select_victim(state: RunState, my_block: int,
             return None
         best_warp, best_rest = qualifying[fuzz.randrange(len(qualifying))]
     else:
+        # Fullest warp by cold_rest = top - bottom, read off the ColdSeg
+        # pointer slab (strict > keeps the first warp at the maximum).
         best_rest = 0
         best_warp = -1
-        stacks = victim_block.stacks
-        for w in range(victim_block.n_warps):
-            # Inlined cold_rest: this scan runs on every leader victim
-            # selection, so it avoids the per-warp call chain.
-            s = stacks[w]
-            rest = (s.cold.top - s.cold.bottom
-                    if type(s) is WarpStack else 0)
+        for w in range(cfg.warps_per_block):
+            rest = cptrs[p0 + 2 * w] - cptrs[p0 + 2 * w + 1]
             if rest > best_rest:
                 best_rest = rest
                 best_warp = w
-        if best_warp < 0 or best_rest < cutoff:
+        if best_rest < cutoff:  # cutoff >= 2, so a hit has best_warp >= 0
             return None
-    stack = victim_block.stacks[best_warp]
     return InterStealPlan(
         victim_block=vb,
         victim_warp=best_warp,
-        observed_bottom=stack.cold.bottom,
+        observed_bottom=cptrs[p0 + 2 * best_warp + 1],
         observed_rest=best_rest,
-        amount=state.config.inter_steal_amount,
+        amount=cfg.inter_steal_amount,
         remote=remote,
     )
 

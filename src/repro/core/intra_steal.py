@@ -17,8 +17,7 @@ The protocol is optimistic and two-phase, exactly as on hardware:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,8 +28,7 @@ __all__ = ["IntraStealPlan", "select_victim", "select_victims_batch",
            "execute_steal"]
 
 
-@dataclass(frozen=True)
-class IntraStealPlan:
+class IntraStealPlan(NamedTuple):
     """Outcome of victim selection: who to rob and what was observed."""
 
     victim_warp: int

@@ -5,15 +5,28 @@
 expand/pop state machine into one monomorphic inner loop.  The generic
 engine pays one ``agent.step()`` call, one ``StepOutcome`` consume, and a
 chain of attribute reads per simulated step; the fused loop instead
-inlines the three transitions that dominate every run — expand, refill,
-and the pure idle poll — over local bindings of the structure-of-arrays
-slabs preallocated by :class:`~repro.core.state.RunState` (hot entry
-rows, the head/tail pointer slab, active masks, contention debt).
+inlines every transition of the ``RUN`` phase over local bindings of the
+structure-of-arrays slabs preallocated by
+:class:`~repro.core.state.RunState` (hot entry rows, the head/tail
+pointer slab, active masks, contention debt):
 
-Everything else — steal victim selection, the two-phase reservation
-steps, leader-warp inter-block stealing — falls back to the agent's
-generic ``step()``, so the protocol code (and the ``repro.check``
-invariant monitor hooks inside it) runs unchanged.
+* expand, refill and the pure idle poll;
+* the intra-block victim scan (Algorithm 3 step 1): the peers'
+  ``hot_rest`` read off the pointer slab, an ``IntraStealPlan`` built
+  when one reaches ``hot_cutoff``, the scan cost plus a backoff poll
+  when none does;
+* the leader warp's inter-block selection (Algorithm 4 steps 1-2),
+  called straight as :func:`repro.core.inter_steal.select_victim`
+  (bulk bounded draws, slab load reads), with its outcome charged
+  inline.
+
+The two-phase reservation steps stay on the agent (``_reserve_intra``
+/ ``_reserve_inter``), so ``execute_steal`` and the ``repro.check``
+invariant monitor hooks inside it run unchanged.  Victim selection
+falls back to ``WarpAgent._idle`` when ``state.fuzz_rng`` is set
+(adversarial victims) or when either ``select_victim`` is not the
+pristine function (mutation checks, spies), detected once per drain
+like a patched ``try_claim_vertex``.
 
 Counter accumulation: the hot counters (edges, pops, pushes, CAS stats,
 idle polls, flush/refill stats, depth maxima) accumulate in loop locals
@@ -45,6 +58,8 @@ import gc
 import heapq
 from typing import Callable, Optional, Sequence
 
+from repro.core import inter_steal, intra_steal
+from repro.core.intra_steal import IntraStealPlan
 from repro.core.state import RunState
 from repro.core.warp_dfs import WarpAgent, _Phase
 from repro.sim.engine import (EngineResult, deadlocked_error,
@@ -56,6 +71,10 @@ __all__ = ["turbo_eligible", "run_turbo"]
 #: ``RunState.try_claim_vertex``, the fused loop detects the mismatch and
 #: routes claims through the patched method instead of its inline copy.
 _ORIG_CLAIM = RunState.try_claim_vertex
+#: The pristine victim selectors, detected the same way: a patched one
+#: routes every idle scan through ``WarpAgent._idle``.
+_ORIG_INTRA_SELECT = intra_steal.select_victim
+_ORIG_INTER_SELECT = inter_steal.select_victim
 
 
 def turbo_eligible(config) -> bool:
@@ -135,9 +154,19 @@ def _drain(
     inline_claim = type(state).try_claim_vertex is _ORIG_CLAIM
 
     intra = config.enable_intra_steal
-    inter = config.enable_inter_steal
     n_blocks = config.n_blocks
     wpb = config.warps_per_block
+    #: Block leaders run inter-block victim selection when idle.
+    lead = config.enable_inter_steal and n_blocks > 1
+    # Victim selection runs inline unless it is patched (mutation
+    # checks, spies) or adversarial fuzzing randomizes it; then every
+    # idle scan goes through WarpAgent._idle.
+    inline_scan = (state.fuzz_rng is None
+                   and intra_steal.select_victim is _ORIG_INTRA_SELECT
+                   and inter_steal.select_victim is _ORIG_INTER_SELECT)
+    select_inter = inter_steal.select_victim
+    hot_cutoff = config.hot_cutoff
+    intra_amount = config.intra_steal_amount
 
     # Cost constants (gstack penalty is zero: two-level only).
     c_pop = costs.hot_pop
@@ -152,6 +181,8 @@ def _drain(
     c_refill_entry = costs.refill_per_entry
     c_idle = costs.idle_poll
     backoff_max = costs.idle_backoff_max
+    c_scan_intra = costs.steal_scan_per_warp * wpb
+    c_scan_inter = c_scan_intra + 40  # the leader surcharge of WarpAgent._idle
 
     tpb = counters.tasks_per_block
     tpw = counters.tasks_per_warp
@@ -163,6 +194,7 @@ def _drain(
     tpw_local = [0] * (n_blocks * wpb)
     RUN = _Phase.RUN
     RESERVE_INTRA = _Phase.RESERVE_INTRA
+    RESERVE_INTER = _Phase.RESERVE_INTER
 
     # Local counter deltas (merged at the flush points; see docstring).
     d_edges = d_cas = d_casf = d_pops = d_pushes = d_vis = 0
@@ -322,15 +354,16 @@ def _drain(
                                         record(now, bid, wid, "visit",
                                                (u, v))
                 else:
-                    # Stack fully empty: idle.  Steal selection falls
-                    # back to the generic idle handler (the agent clears
-                    # its own mask bit there); the pure poll is inlined.
-                    # Calling _idle directly skips step()'s pending /
-                    # phase / emptiness re-checks, all of which this loop
-                    # has already established.
+                    # Stack fully empty: idle (mirrors WarpAgent._idle).
+                    # The warp clears its mask bit, then scans for a
+                    # victim: its block's peers when one is active, the
+                    # other blocks when it leads an idle block.
                     m = masks[bid] & ~bit
-                    if (intra and m) or (inter and wid == 0 and m == 0
-                                         and n_blocks > 1):
+                    if not inline_scan and ((intra and m) or (
+                            lead and wid == 0 and not m)):
+                        # Patched selection or adversarial fuzzing: the
+                        # agent's own idle handler (skipping step()'s
+                        # re-checks, which this loop has established).
                         state.pending = pending
                         outcome = agent._idle(now)
                         pending = state.pending
@@ -339,12 +372,52 @@ def _drain(
                         done = outcome.done
                     else:
                         masks[bid] = m
-                        d_polls += 1
-                        cost = agent.backoff
-                        b = cost * 2
-                        agent.backoff = (b if b < backoff_max
-                                         else backoff_max)
-                        progress = False
+                        found = False
+                        if intra and m:
+                            # Intra-block scan (Alg. 3 step 1): the peer
+                            # with the most hot_rest, if at the cutoff
+                            # (strict > keeps the first peer at the max).
+                            extra = c_scan_intra
+                            p0 = 2 * (gidx - wid)  # block's first slot
+                            best = 0
+                            p = p0
+                            for w in range(wpb):
+                                if w != wid:
+                                    rest = ptrs[p] - ptrs[p + 1]
+                                    if rest < 0:
+                                        rest += hsize
+                                    if rest > best:
+                                        best = rest
+                                        victim = w
+                                p += 2
+                            if best >= hot_cutoff:
+                                found = True
+                                agent.intra_plan = IntraStealPlan(
+                                    victim, ptrs[p0 + 2 * victim + 1],
+                                    best, intra_amount)
+                                agent.phase = RESERVE_INTRA
+                        elif lead and wid == 0 and not m:
+                            # Leader warp of an idle block (Alg. 4
+                            # steps 1-2).
+                            extra = c_scan_inter
+                            plan = select_inter(state, bid, agent.rng)
+                            if plan is not None:
+                                found = True
+                                agent.inter_plan = plan
+                                agent.phase = RESERVE_INTER
+                        else:
+                            extra = 0
+                        if found:
+                            cost = extra
+                        else:
+                            # Nothing to steal: exponential-backoff poll.
+                            d_polls += 1
+                            b = agent.backoff
+                            cost = extra + b
+                            b += b
+                            agent.backoff = (b if b < backoff_max
+                                             else backoff_max)
+                            progress = False
             else:
                 # Reservation phases: generic two-phase steal protocol
                 # (pending > 0 is established above, so step()'s

@@ -332,6 +332,8 @@ class WarpAgent:
     # Idle execution: stealing and polling.
     # ------------------------------------------------------------------
     def _idle(self, now: int) -> StepOutcome:
+        # The fused loop (repro.core.turbo) inlines this method while
+        # victim selection is pristine: keep the two in step.
         state = self.state
         costs = state.costs
         config = state.config

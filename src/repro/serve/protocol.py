@@ -258,7 +258,7 @@ def dfs_result_to_dict(res) -> Dict[str, Any]:
     return {
         "n_vertices": int(t.parent.shape[0]),
         "root": int(t.root),
-        "parent": [int(p) for p in t.parent.tolist()],
+        "parent": t.parent.tolist(),
         "visited": np.flatnonzero(t.visited).tolist(),
         "n_visited": int(t.n_visited),
         "edges_traversed": int(t.edges_traversed),
@@ -285,7 +285,7 @@ def sharded_result_to_dict(res) -> Dict[str, Any]:
     return {
         "n_vertices": int(t.parent.shape[0]),
         "root": int(t.root),
-        "parent": [int(p) for p in t.parent.tolist()],
+        "parent": t.parent.tolist(),
         "visited": np.flatnonzero(t.visited).tolist(),
         "n_visited": int(t.n_visited),
         "edges_traversed": int(t.edges_traversed),
@@ -316,7 +316,7 @@ def frontier_result_to_dict(res, backend: str = "frontier"
     return {
         "n_vertices": int(t.parent.shape[0]),
         "root": int(t.root),
-        "parent": [int(p) for p in t.parent.tolist()],
+        "parent": t.parent.tolist(),
         "visited": np.flatnonzero(t.visited).tolist(),
         "n_visited": int(t.n_visited),
         "edges_traversed": int(t.edges_traversed),

@@ -148,6 +148,43 @@ class TestInterSelection:
         # Load-aware two-choice must prefer the heavy block when both sampled.
         assert picks.count(2) > picks.count(0)
 
+    def test_two_choice_ties_keep_first_sample(self):
+        """Equal workloads (and both samples on one block) keep the first
+        sampled block, whichever order the stream draws them in."""
+        import copy
+
+        from repro.utils.fastrand import sample_active
+
+        state = make_state(n_blocks=4, cold_cutoff=4)
+        state.blocks[0].set_active(0, False)
+        fill_cold(state, 0, 1, 6)  # + the root entry in warp 0's ring
+        fill_cold(state, 2, 2, 7, start=100)
+        assert state.blocks[0].workload() == state.blocks[2].workload()
+        firsts = set()
+        for seed in range(40):
+            rng = make_rng(seed)
+            sampled = sample_active(copy.deepcopy(rng), 0, 4, 3,
+                                    state.active_mask_slab, 2, 16)
+            chosen = inter_steal.select_victim_block(state, 3, rng)
+            assert chosen == (sampled[0], False)
+            firsts.add(sampled[0])
+        assert firsts == {0, 2}
+
+    def test_slab_workload_matches_block_workload(self):
+        """The pointer-slab load read equals ``BlockState.workload()``,
+        wrapped HotRings included."""
+        state = make_state(n_blocks=3, cold_cutoff=4)
+        fill_hot(state, 1, 0, 12)
+        state.blocks[1].stacks[0].hot.take_from_tail(10)
+        fill_hot(state, 1, 0, 9, start=40)  # head wraps past the end
+        fill_hot(state, 1, 2, 3, start=60)
+        fill_cold(state, 1, 1, 7, start=80)
+        fill_cold(state, 2, 2, 5, start=90)
+        for b in range(3):
+            assert (inter_steal._workload(state, b)
+                    == state.blocks[b].workload())
+        assert state.blocks[1].workload() == 2 + 9 + 3 + 7
+
 
 class TestInterExecution:
     def test_successful_steal(self):

@@ -113,3 +113,136 @@ class TestEligibility:
         assert taken == ["generic"]
         assert res.traversal.visited.all()
 
+
+
+# ---------------------------------------------------------------------------
+# The inline idle path: victim scans run inside the fused loop.
+# ---------------------------------------------------------------------------
+
+#: The micro-sweep's steal-heavy stack geometry (skew3000 / hub2500).
+TIGHT = dict(hot_size=16, hot_cutoff=4, cold_cutoff=8, flush_batch=4,
+             refill_batch=4, cold_reserve=64)
+
+#: One override per branch of the inline idle path, each with the
+#: counter that proves the branch ran.
+IDLE_BRANCHES = {
+    # 6 blocks: a non-power-of-two sampling range (Lemire threshold > 0).
+    "six_blocks": ({"n_blocks": 6}, "inter_steal_attempts"),
+    # The remote fallback samples every block, not the GPU's range.
+    "two_gpus": ({"n_gpus": 2}, "remote_steal_successes"),
+    "random_policy": ({"victim_policy": "random"}, "inter_steal_attempts"),
+    "no_intra": ({"enable_intra_steal": False}, "inter_steal_attempts"),
+    "no_inter": ({"enable_inter_steal": False}, "intra_steal_attempts"),
+}
+
+
+def _idle_graph(name):
+    from repro.graphs import generators as gen
+    if name == "skewed_tree":
+        return gen.skewed_tree(1200, seed=5)
+    if name == "hub":
+        return gen.preferential_attachment(1000, m=4, seed=6)
+    return gen.road_network(1000, seed=3)
+
+
+def _assert_fused_matches_reference(graph, cfg):
+    fused = run_diggerbees(graph, 0, config=cfg)
+    ref = run_diggerbees_reference(graph, 0, config=cfg)
+    assert fused.cycles == ref.cycles
+    assert fused.engine.steps == ref.engine.steps
+    assert fused.counters == ref.counters
+    assert np.array_equal(fused.traversal.parent, ref.traversal.parent)
+    assert np.array_equal(fused.traversal.visited, ref.traversal.visited)
+    return ref
+
+
+@pytest.mark.parametrize("branch", sorted(IDLE_BRANCHES))
+@pytest.mark.parametrize("graph_name", ["skewed_tree", "hub", "road"])
+def test_inline_idle_path_matches_reference(graph_name, branch):
+    """fused == reference on every branch of the inline victim scans,
+    on the tight geometry where steals dominate the schedule."""
+    overrides, witness = IDLE_BRANCHES[branch]
+    kwargs = dict(n_blocks=4, warps_per_block=4, seed=2, **TIGHT)
+    kwargs.update(overrides)
+    cfg = DiggerBeesConfig(**kwargs)
+    assert turbo_eligible(cfg)
+    ref = _assert_fused_matches_reference(_idle_graph(graph_name), cfg)
+    assert getattr(ref.counters, witness) > 0
+    if branch == "no_intra":
+        assert ref.counters.intra_steal_attempts == 0
+    if branch == "no_inter":
+        assert ref.counters.inter_steal_attempts == 0
+
+
+@pytest.mark.parametrize("branch", sorted(IDLE_BRANCHES))
+def test_inline_idle_path_matches_reference_default_geometry(branch):
+    kwargs = dict(n_blocks=4, warps_per_block=4, seed=2)
+    kwargs.update(IDLE_BRANCHES[branch][0])
+    _assert_fused_matches_reference(_idle_graph("road"),
+                                    DiggerBeesConfig(**kwargs))
+
+
+def _count_idle_scans(monkeypatch):
+    """Spy on ``WarpAgent._idle``: count the calls that scan for a victim
+    (an active peer to rob, or an idle block's leader looking out)."""
+    from repro.core.warp_dfs import WarpAgent
+
+    scans = []
+    real_idle = WarpAgent._idle
+
+    def spy(self, now):
+        cfg = self.state.config
+        others = self.block.active_mask & ~self._bit
+        if ((cfg.enable_intra_steal and others)
+                or (cfg.enable_inter_steal and self.warp_id == 0
+                    and not others and cfg.n_blocks > 1)):
+            scans.append(now)
+        return real_idle(self, now)
+
+    monkeypatch.setattr(WarpAgent, "_idle", spy)
+    return scans
+
+
+def _steal_case(**overrides):
+    case = _family_case("road_network").with_(n_vertices=400,
+                                             warps_per_block=4)
+    return case.build_graph(), case.root, case.build_config(**overrides)
+
+
+def test_pristine_selection_scans_inline(monkeypatch):
+    """Control: with pristine selectors and no fuzzing, the fused loop
+    scans inline and never enters ``_idle``."""
+    graph, root, cfg = _steal_case(adversarial_victims=False)
+    scans = _count_idle_scans(monkeypatch)
+    run_diggerbees_reference(graph, root, config=cfg)
+    assert scans  # the case does scan
+    scans.clear()
+    run_diggerbees(graph, root, config=cfg)
+    assert scans == []
+
+
+@pytest.mark.parametrize("how", ["adversarial", "patched_intra",
+                                 "patched_inter"])
+def test_idle_scans_reach_agent_when_selection_is_not_pristine(
+        monkeypatch, how):
+    """Adversarial fuzzing, or a patched victim selector (mutation
+    checks, spies), routes *every* idle scan through
+    ``WarpAgent._idle``: the fused run scans there exactly as often, and
+    at the same times, as the reference engine."""
+    from repro.core import inter_steal, intra_steal
+
+    graph, root, cfg = _steal_case(
+        adversarial_victims=(how == "adversarial"))
+    if how != "adversarial":
+        module = intra_steal if how == "patched_intra" else inter_steal
+        real = module.select_victim
+        monkeypatch.setattr(module, "select_victim",
+                            lambda *args: real(*args))
+    scans = _count_idle_scans(monkeypatch)
+    ref = run_diggerbees_reference(graph, root, config=cfg)
+    ref_scans = list(scans)
+    scans.clear()
+    fused = run_diggerbees(graph, root, config=cfg)
+    assert ref_scans and scans == ref_scans
+    assert fused.cycles == ref.cycles
+    assert fused.counters == ref.counters

@@ -21,7 +21,9 @@ from repro.serve.protocol import (
     encode_response,
     encode_response_with_raw_result,
     error_response,
+    frontier_result_to_dict,
 )
+from repro.validate.reference import ROOT_PARENT, UNVISITED_PARENT
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,38 @@ def test_dfs_result_to_dict_is_canonical_and_json_safe():
     dense = np.zeros(g.n_vertices, bool)
     dense[payload["visited"]] = True
     assert np.array_equal(dense, res.traversal.visited)
+
+
+def _sentinel_graph():
+    """A path 0-1-2-3 plus an isolated pair 4-5: unreachable from 0."""
+    from repro.graphs.csr import from_edges
+    return from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+
+
+@pytest.mark.parametrize("engine", ["dfs", "frontier", "swarm"])
+def test_payload_json_matches_per_element_int_encoding(engine):
+    """``parent.tolist()`` already yields Python ints: the payload JSON is
+    byte-identical to re-boxing every parent with ``int()``, sentinels
+    included."""
+    from repro.core.frontier import run_frontier
+    from repro.core.swarm import run_swarm
+
+    g = _sentinel_graph()
+    if engine == "dfs":
+        res = run_diggerbees(g, 0)
+        payload = dfs_result_to_dict(res)
+    elif engine == "frontier":
+        res = run_frontier(g, 0)
+        payload = frontier_result_to_dict(res)
+    else:
+        res = run_swarm(g, [0, 4])[0]
+        payload = frontier_result_to_dict(res, backend="swarm")
+    parent = res.traversal.parent
+    assert parent[0] == ROOT_PARENT and parent[5] == UNVISITED_PARENT
+    assert all(type(p) is int for p in payload["parent"])
+    old = dict(payload, parent=[int(p) for p in parent.tolist()])
+    assert (json.dumps(payload, separators=(",", ":"))
+            == json.dumps(old, separators=(",", ":")))
 
 
 def test_ops_cover_executors():
