@@ -50,6 +50,7 @@ __all__ = [
     "test_bits_2d",
     "popcount_2d",
     "nonzero_bits_2d",
+    "set_bit_pairs_2d",
 ]
 
 WORD_BITS = 64
@@ -271,6 +272,45 @@ def nonzero_bits_2d(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = pos - rows * width
     return rows.astype(np.int64, copy=False), idx.astype(np.int64,
                                                          copy=False)
+
+
+def set_bit_pairs_2d(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, bits)`` of every set bit, in no particular order.
+
+    The same pairs as :func:`nonzero_bits_2d`, for consumers that only
+    scatter or histogram them.  Built for matrices whose nonzero words
+    hold a bit or two: each round isolates every remaining word's
+    lowest set bit (``x & -x``), reads its index off the float64
+    exponent (exact for powers of two), clears it, and drops the words
+    that emptied — so the work tracks the set bits, never the matrix
+    area or a per-byte table expansion.  Pure word arithmetic, so it is
+    byte-order independent.
+    """
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.ndim != 2:
+        raise ValueError(
+            f"set_bit_pairs_2d needs a 2-d matrix, got shape {words.shape}")
+    n_cols = words.shape[1]
+    flat = words.reshape(-1)
+    idx = np.flatnonzero(flat)
+    x = flat[idx]
+    idx_parts, low_parts = [], []
+    while idx.size:
+        low = x & (np.uint64(0) - x)
+        idx_parts.append(idx)
+        low_parts.append(low)
+        x = x ^ low
+        left = np.flatnonzero(x)
+        idx, x = idx[left], x[left]
+    if not idx_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    word_idx = np.concatenate(idx_parts)
+    lows = np.concatenate(low_parts).astype(np.float64)
+    bit = (lows.view(np.int64) >> 52) - 1023
+    if n_cols == 1:
+        return word_idx, bit
+    return word_idx // n_cols, (word_idx % n_cols) * WORD_BITS + bit
 
 
 def popcount_2d(words: np.ndarray) -> np.ndarray:

@@ -69,6 +69,11 @@ SWARM_MIN_BATCH = 2
 #: Where ``bench_crossover.py --record`` persists the fitted table.
 CALIBRATION_FILENAME = "calibration_routing.json"
 
+# Resolved once at import: ``Path.resolve`` walks every path component
+# with ``realpath``, which would dominate an auto-routed query's cost.
+_CALIBRATION_PATH = (Path(__file__).resolve().parents[3] / "benchmarks"
+                     / CALIBRATION_FILENAME)
+
 # (path, mtime_ns) -> parsed table.  One stat per call keeps routing
 # decisions hot-reloadable after a fresh --record without re-parsing.
 _CALIBRATION_CACHE: dict = {}
@@ -93,8 +98,7 @@ def graph_regime(graph: CSRGraph, root: int = 0) -> str:
 
 def calibration_path() -> Path:
     """Default location of the persisted routing-calibration artifact."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / CALIBRATION_FILENAME
+    return _CALIBRATION_PATH
 
 
 def load_calibration(path: Optional[Path] = None) -> Optional[dict]:

@@ -215,6 +215,30 @@ def test_nonzero_bits_2d_both_paths_agree(density, width):
     assert np.all(np.diff(pair) > 0)
 
 
+@pytest.mark.parametrize("density", [0.0, 0.005, 0.03, 0.3, 1.0])
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 256])
+def test_set_bit_pairs_2d_matches_oracle_as_a_set(density, width):
+    rng = make_rng(int(density * 1000) + width)
+    mask = rng.random((211, width)) < density
+    mask[7] = True  # a saturated row, every bit of every word set
+    words = bitset.pack_bits_2d(mask)
+    rows, idx = bitset.set_bit_pairs_2d(words)
+    orows, oidx = _nonzero_oracle(words)
+    assert rows.dtype == np.int64 and idx.dtype == np.int64
+    order = np.lexsort((idx, rows))
+    assert np.array_equal(rows[order], orows)
+    assert np.array_equal(idx[order], oidx)
+
+
+def test_set_bit_pairs_2d_empty_and_validation():
+    rows, idx = bitset.set_bit_pairs_2d(bitset.empty_bitmatrix(5, 130))
+    assert rows.size == 0 and idx.size == 0
+    rows, idx = bitset.set_bit_pairs_2d(bitset.empty_bitmatrix(0, 64))
+    assert rows.size == 0 and idx.size == 0
+    with pytest.raises(ValueError):
+        bitset.set_bit_pairs_2d(np.zeros(4, dtype=np.uint64))
+
+
 def test_nonzero_bits_2d_empty_and_validation():
     empty_rows, empty_idx = bitset.nonzero_bits_2d(
         bitset.empty_bitmatrix(5, 200))

@@ -238,6 +238,28 @@ def test_load_calibration_hot_reloads_on_rewrite(tmp_path):
     assert load_calibration(art)["regimes"]["deep"]["dfs"] == 7e-7
 
 
+def test_auto_routing_resolves_no_paths(monkeypatch):
+    """The default table path is computed at import: auto routing pays
+    one ``stat`` per decision, never a ``realpath`` walk."""
+    import os
+    import pathlib
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pathlib.Path, "resolve",
+                        counting(pathlib.Path.resolve))
+    monkeypatch.setattr(os.path, "realpath", counting(os.path.realpath))
+    for _ in range(100):
+        choose_backend(requested="auto", regime="shallow", batch_hint=64)
+    assert calls == []
+
+
 def test_invalid_requested_backend_raises():
     with pytest.raises(SimulationError):
         choose_backend(requested="gpu")

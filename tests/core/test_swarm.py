@@ -134,3 +134,88 @@ def test_amortized_seconds_shared_across_lanes():
     assert len(secs) == 1
     assert batch[0].seconds >= 0.0
     assert batch[0].mteps >= 0.0
+
+
+def _spread_roots(graph, width, seed):
+    """``width`` seeded random roots (repeats allowed)."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, graph.n_vertices, size=width).tolist()
+
+
+def _assert_batch_matches(graph, roots, config=None):
+    batch = run_swarm(graph, roots, config=config)
+    assert len(batch) == len(roots)
+    for root, res in zip(roots, batch):
+        assert_lane_identical(res, run_frontier(graph, root, config=config))
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 129])
+@pytest.mark.parametrize("shape", ["skew", "starmesh"])
+def test_lane_word_boundaries(shape, width):
+    """Widths either side of a 64-lane word, deep and shallow: the last
+    word's tail bits must never leak into a lane."""
+    g = GRAPHS[shape]()
+    _assert_batch_matches(g, _spread_roots(g, width, seed=width))
+
+
+def _with_isolated_rows():
+    """Two components plus isolated vertices, so in-rows with zero
+    degree sit at the start, middle and end of the row range."""
+    from repro.graphs.csr import from_edges
+
+    core = gen.preferential_attachment(n_vertices=120, m=3, seed=12)
+    edges = core.edge_array() + 3          # rows 0..2 stay isolated
+    tail = [(200, 201), (201, 202), (202, 203), (203, 200)]
+    both = np.concatenate([edges, np.array(tail), np.array(tail)[:, ::-1]])
+    return from_edges(210, both.astype(np.int64))   # 123..199, 204..209 too
+
+
+def test_isolated_vertices_and_zero_degree_rows():
+    from repro.graphs.csr import from_edges
+
+    g = _with_isolated_rows()
+    roots = [0, 3, 50, 122, 200, 209, 3, 205] + list(range(10, 80))
+    _assert_batch_matches(g, roots)
+    edgeless = from_edges(5, np.zeros((0, 2), dtype=np.int64))
+    _assert_batch_matches(edgeless, [0, 4, 4, 2])
+
+
+def _unsorted_neighbors(graph):
+    """Same graph, each adjacency row in shuffled order (no sorted flag)."""
+    from repro.graphs.csr import CSRGraph
+
+    rng = np.random.default_rng(13)
+    rp, ci = graph.row_ptr, graph.column_idx.copy()
+    for v in range(graph.n_vertices):
+        rng.shuffle(ci[rp[v]:rp[v + 1]])
+    return CSRGraph(rp, ci, directed=graph.directed, name=graph.name)
+
+
+@pytest.mark.parametrize("dense_share", [0.0, float("inf")])
+@pytest.mark.parametrize("level_pass_cells", [0, 1 << 40])
+def test_every_mechanism_is_bit_identical(monkeypatch, dense_share,
+                                          level_pass_cells):
+    """Full-arc vs frontier-scatter discovery, and per-level vs
+    (chunked) arcs x lanes parent resolution, are cost choices only."""
+    import repro.core.swarm as swarm_mod
+
+    monkeypatch.setattr(swarm_mod, "_DENSE_SHARE", dense_share)
+    monkeypatch.setattr(swarm_mod, "_LEVEL_PASS_CELLS", level_pass_cells)
+    # Lane chunks of the arcs x lanes pass that end mid-word.
+    monkeypatch.setattr(swarm_mod, "_PARENT_CHUNK_CELLS", 23 * 1000)
+    for g in (_with_isolated_rows(), GRAPHS["skew"](), GRAPHS["pa"](),
+              _unsorted_neighbors(GRAPHS["pa"]())):
+        _assert_batch_matches(g, _spread_roots(g, 70, seed=3))
+    g = gen.citation_graph(150, seed=4, symmetrize=False)
+    _assert_batch_matches(g, _spread_roots(g, 70, seed=5))
+
+
+def test_directed_graph_wider_than_a_lane_word():
+    g = gen.citation_graph(150, seed=4, symmetrize=False)
+    assert g.directed
+    roots = _spread_roots(g, 97, seed=6)
+    batch = run_swarm(g, roots, config=FrontierConfig(mode="pull"))
+    for root, res in zip(roots, batch):
+        assert res.pulls == 0
+        assert_lane_identical(
+            res, run_frontier(g, root, config=FrontierConfig(mode="pull")))
