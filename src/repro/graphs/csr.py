@@ -244,9 +244,28 @@ class CSRGraph:
     # ------------------------------------------------------------------
     def is_symmetric(self) -> bool:
         """True if every stored arc has its reverse stored."""
-        edges = self.edge_array()
-        fwd = set(map(tuple, edges.tolist()))
-        return all((v, u) in fwd for (u, v) in fwd)
+        return self.asymmetric_arc() is None
+
+    def asymmetric_arc(self) -> Optional[Tuple[int, int]]:
+        """One stored arc ``(u, v)`` whose reverse is not stored, or None.
+
+        Vectorized: the sorted keys ``u * n + v`` of the stored arcs are
+        compared with the sorted keys ``v * n + u`` of their reverses.
+        Equal arrays settle it; otherwise a key missing from the second
+        set names the arc (none is missing when only duplicate-arc
+        counts differ).
+        """
+        n = self.n_vertices
+        src = np.repeat(np.arange(n, dtype=_INDEX_DTYPE), self.degree())
+        fwd = np.sort(src * n + self.column_idx)
+        rev = np.sort(self.column_idx * n + src)
+        if np.array_equal(fwd, rev):
+            return None
+        missing = np.setdiff1d(fwd, rev)
+        if not missing.size:
+            return None
+        key = int(missing[0])
+        return key // n, key % n
 
     def has_self_loops(self) -> bool:
         """True if any arc ``(u, u)`` is stored."""

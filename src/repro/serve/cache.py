@@ -6,9 +6,10 @@ overrides, graph fingerprint, CACHE_VERSION)`` — so two requests hit the
 same entry iff they are semantically the same query against the same
 graph *content* (the fingerprint hashes the CSR arrays, not the name).
 
-Each resident graph gets its own bounded LRU.  Entries store both the
-decoded result dict and its serialized JSON, so the daemon's hit path
-answers without re-serializing multi-thousand-entry parent arrays.
+Each resident graph gets its own bounded LRU.  An entry is the result's
+canonical JSON text, exactly as the executor built it: the hit path
+splices it into the response without serializing anything, and the
+cache holds no per-vertex Python ints.
 
 Disk spill is strictly best-effort, mirroring the corpus cache's
 contract: a corrupt, truncated, or version-skewed cache file is
@@ -25,7 +26,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "CACHE_VERSION",
@@ -92,8 +93,8 @@ class GraphResultCache:
         self.hits = 0
         self.misses = 0
         self._dirty = 0
-        #: key -> (result dict, serialized JSON)
-        self._entries: "OrderedDict[str, Tuple[Dict, str]]" = OrderedDict()
+        #: key -> canonical JSON text of the result
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._path: Optional[Path] = None
         if directory is not None and self.max_entries > 0:
             stem = "".join(c if c.isalnum() or c in "-_" else "_"
@@ -103,8 +104,8 @@ class GraphResultCache:
             self._load()
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[Tuple[Dict, str]]:
-        """Look up ``key``; returns ``(result, raw_json)`` or None."""
+    def get(self, key: str) -> Optional[str]:
+        """Look up ``key``; returns the result's JSON text or None."""
         hit = self._entries.get(key)
         if hit is None:
             self.misses += 1
@@ -113,13 +114,11 @@ class GraphResultCache:
         self.hits += 1
         return hit
 
-    def put(self, key: str, result: Dict[str, Any],
-            raw: Optional[str] = None) -> None:
+    def put(self, key: str, raw: str) -> None:
+        """Store a result's canonical JSON text under ``key``."""
         if self.max_entries <= 0 or key in self._entries:
             return
-        if raw is None:
-            raw = json.dumps(result, separators=(",", ":"))
-        self._entries[key] = (result, raw)
+        self._entries[key] = raw
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
         self._dirty += 1
@@ -141,16 +140,16 @@ class GraphResultCache:
         if path is None or not path.exists():
             return
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            body = path.read_text(encoding="utf-8")
+            data = json.loads(body)
             if (data.get("version") != CACHE_VERSION
                     or data.get("graph_fp") != self.graph_fingerprint
                     or not isinstance(data.get("entries"), dict)):
                 raise ValueError("cache header mismatch")
-            for key, result in data["entries"].items():
+            for key, raw in _entry_texts(body):
                 if len(self._entries) >= self.max_entries:
                     break
-                self._entries[str(key)] = (
-                    result, json.dumps(result, separators=(",", ":")))
+                self._entries[key] = raw
         except Exception:
             # Corrupt/partial/version-skewed: recompute rather than fail.
             self._entries.clear()
@@ -169,7 +168,7 @@ class GraphResultCache:
             CACHE_VERSION,
             json.dumps(self.graph_fingerprint),
             ",".join(f"{json.dumps(k)}:{raw}"
-                     for k, (_, raw) in self._entries.items()),
+                     for k, raw in self._entries.items()),
         ))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -184,3 +183,26 @@ class GraphResultCache:
                     os.unlink(tmp)
         except OSError:
             pass
+
+
+_ENTRIES_OPEN = '"entries":{'
+
+
+def _entry_texts(body: str) -> Iterator[Tuple[str, str]]:
+    """``(key, raw JSON text)`` of each entry of a spilled cache file.
+
+    :meth:`GraphResultCache.flush` writes each entry's text verbatim
+    after its key; this walks the ``entries`` object and slices the
+    texts back out, so loading never re-serializes a payload.  Any
+    deviation from that layout raises, which the caller treats as a
+    corrupt file.
+    """
+    decoder = json.JSONDecoder()
+    i = body.index(_ENTRIES_OPEN) + len(_ENTRIES_OPEN)
+    while body[i] != "}":
+        key, i = decoder.raw_decode(body, i)
+        if not isinstance(key, str) or body[i] != ":":
+            raise ValueError("malformed cache entry")
+        _, end = decoder.raw_decode(body, i + 1)
+        yield key, body[i + 1:end]
+        i = end + 1 if body[end] == "," else end

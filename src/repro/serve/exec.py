@@ -7,6 +7,13 @@ Workers receive graphs as shared-memory specs (attached and cached via
 the harness's worker-side graph cache) or, on the pickle-fallback path,
 as the graphs themselves.
 
+Payloads: with ``encode=True`` every success comes back as its
+canonical JSON text (:mod:`repro.serve.protocol`'s ``*_to_json``
+encoders), built here next to the engine call.  The daemon asks for
+text, so its event loop never serializes a payload and pool workers
+pickle one string per answer instead of dicts of int lists; direct
+callers get the payload dicts.
+
 Failure semantics: *query* failures — an over-budget simulation, a
 toposort on a cyclic graph, an out-of-range root — are returned as
 per-task error markers so one bad query in a swarm batch cannot poison
@@ -17,7 +24,7 @@ dispatch layer degrades: re-export, pickle, or in-process execution.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,8 +33,12 @@ from repro.errors import ProtocolError, ReproError
 from repro.serve.protocol import (
     QUERY_OPS,
     dfs_result_to_dict,
+    dfs_result_to_json,
     frontier_result_to_dict,
+    frontier_results_to_json,
+    payload_to_json,
     sharded_result_to_dict,
+    sharded_result_to_json,
 )
 
 __all__ = [
@@ -39,6 +50,10 @@ __all__ = [
 
 #: Per-task error marker key in batch results.
 ERROR_KEY = "__error__"
+
+#: One answer: the payload dict, its JSON text (``encode=True``), or an
+#: error marker dict.
+Answer = Union[Dict[str, Any], str]
 
 #: DiggerBeesConfig fields a request may override (everything except the
 #: perturbation knobs would also be safe, but fuzz configs need those
@@ -75,11 +90,17 @@ def _error_marker(exc: BaseException) -> Dict[str, Any]:
 # Single queries.
 # ---------------------------------------------------------------------------
 
-def _dfs(graph, root: int, overrides) -> Dict[str, Any]:
+def _dfs(graph, root: int, overrides, backend: str = "dfs",
+         encode: bool = False) -> Answer:
+    if backend in ("frontier", "swarm"):
+        res = _frontier(graph, root, overrides)
+        if encode:
+            return frontier_results_to_json([res], backend)[0]
+        return frontier_result_to_dict(res, backend=backend)
     from repro.core.diggerbees import run_diggerbees
 
     res = run_diggerbees(graph, root, config=build_engine_config(overrides))
-    return dfs_result_to_dict(res)
+    return dfs_result_to_json(res) if encode else dfs_result_to_dict(res)
 
 
 def _frontier(graph, root: int, overrides):
@@ -88,8 +109,9 @@ def _frontier(graph, root: int, overrides):
     # query with overrides is pinned to DFS before it gets here, and a
     # forced-frontier daemon answers every DFS query with the one
     # deterministic min-parent tree.  A single swarm-resolved query runs
-    # here too: a one-lane swarm gives the same answer at several times
-    # the cost, so only the payload's backend marker says "swarm".
+    # here too, and only the payload's backend marker says "swarm": a
+    # one-lane swarm gives the same answer at 0.61-1.06x the frontier
+    # wall on the micro graphs, so neither engine is the cheap one.
     build_engine_config(overrides)
     from repro.core.frontier import run_frontier
 
@@ -167,23 +189,24 @@ assert set(_EXECUTORS) == set(QUERY_OPS)
 
 def execute_query(wire_graph, op: str, root: int,
                   overrides: Optional[Dict[str, Any]] = None,
-                  backend: str = "dfs") -> Dict[str, Any]:
-    """Execute one query; returns the result dict or an error marker.
+                  backend: str = "dfs", encode: bool = False) -> Answer:
+    """Execute one query; returns the result payload or an error marker.
 
     ``backend`` is the *resolved* engine family for ``dfs`` queries
     (``"dfs"``, ``"frontier"`` or ``"swarm"``) — callers route through
     :func:`repro.core.dispatch.choose_backend` first; this function
-    just executes.  Non-DFS ops ignore it.
+    just executes.  Non-DFS ops ignore it.  ``encode`` returns a
+    success as its canonical JSON text instead of the dict.
     """
     graph = _resolve(wire_graph)
     try:
         if root < 0 or root >= graph.n_vertices:
             raise ProtocolError(
                 f"root {root} out of range for {graph.n_vertices} vertices")
-        if op == "dfs" and backend in ("frontier", "swarm"):
-            return frontier_result_to_dict(
-                _frontier(graph, root, overrides), backend=backend)
-        return _EXECUTORS[op](graph, root, overrides)
+        if op == "dfs":
+            return _dfs(graph, root, overrides, backend, encode)
+        out = _EXECUTORS[op](graph, root, overrides)
+        return payload_to_json(out) if encode else out
     except ReproError as exc:
         return _error_marker(exc)
 
@@ -192,19 +215,22 @@ def execute_query(wire_graph, op: str, root: int,
 # Batched DFS.
 # ---------------------------------------------------------------------------
 
-def _swarm_batch(graph, tasks: List[Tuple[int, Optional[Dict[str, Any]]]]
-                 ) -> List[Dict[str, Any]]:
+def _swarm_batch(graph, tasks: List[Tuple[int, Optional[Dict[str, Any]]]],
+                 encode: bool) -> List[Answer]:
     """One lockstep swarm over every valid task; markers for the rest.
 
     A single task runs on the frontier engine instead (see
-    :func:`_frontier`): same payload, without the lane overhead.
+    :func:`_frontier`): the same payload at about the same cost.  With
+    ``encode`` the lanes are serialized together in one vectorized
+    pass.
     """
     if len(tasks) == 1:
         root, ov = tasks[0]
-        return [execute_query(graph, "dfs", root, ov, backend="swarm")]
+        return [execute_query(graph, "dfs", root, ov, backend="swarm",
+                              encode=encode)]
     from repro.core.swarm import run_swarm
 
-    out: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
+    out: List[Optional[Answer]] = [None] * len(tasks)
     lanes: List[int] = []
     for i, (root, ov) in enumerate(tasks):
         try:
@@ -224,13 +250,17 @@ def _swarm_batch(graph, tasks: List[Tuple[int, Optional[Dict[str, Any]]]]
             for i in lanes:
                 out[i] = _error_marker(exc)
         else:
-            for i, res in zip(lanes, results):
-                out[i] = frontier_result_to_dict(res, backend="swarm")
+            payloads = (frontier_results_to_json(results, "swarm")
+                        if encode else
+                        [frontier_result_to_dict(res, backend="swarm")
+                         for res in results])
+            for i, payload in zip(lanes, payloads):
+                out[i] = payload
     return out
 
 
 def _sharded(graph, root: int, overrides, shards: int,
-             jobs: int) -> Dict[str, Any]:
+             jobs: int, encode: bool) -> Answer:
     # Overrides are validated but don't parameterize the shard tier:
     # routing pins override-carrying queries to plain DFS before they
     # get here (a parameterized query asks for a specific simulation).
@@ -238,13 +268,15 @@ def _sharded(graph, root: int, overrides, shards: int,
     from repro.core.shard import run_sharded
 
     res = run_sharded(graph, root, k=shards, jobs=jobs)
-    return sharded_result_to_dict(res)
+    return (sharded_result_to_json(res) if encode
+            else sharded_result_to_dict(res))
 
 
 def execute_dfs_batch(wire_graph,
                       tasks: List[Tuple[int, Optional[Dict[str, Any]]]],
                       backend: str = "dfs", shards: int = 0,
-                      shard_jobs: int = 0) -> List[Dict[str, Any]]:
+                      shard_jobs: int = 0, encode: bool = False
+                      ) -> List[Answer]:
     """Execute ``[(root, config-overrides), ...]`` DFS queries.
 
     ``backend="swarm"`` runs every valid task as one lane of a single
@@ -262,21 +294,26 @@ def execute_dfs_batch(wire_graph,
     always execute in the daemon process — the shard tier leases the
     worker pool itself, one engine per district, so shipping the task
     to a pool worker would nest pools.
+
+    ``encode`` returns each success as its canonical JSON text, as
+    :func:`execute_query` does.
     """
     graph = _resolve(wire_graph)
     if backend == "swarm":
-        return _swarm_batch(graph, tasks)
+        return _swarm_batch(graph, tasks, encode)
     if backend == "shard":
-        out: List[Dict[str, Any]] = []
+        out: List[Answer] = []
         for root, ov in tasks:
             try:
                 if root < 0 or root >= graph.n_vertices:
                     raise ProtocolError(
                         f"root {root} out of range for "
                         f"{graph.n_vertices} vertices")
-                out.append(_sharded(graph, root, ov, shards, shard_jobs))
+                out.append(_sharded(graph, root, ov, shards, shard_jobs,
+                                    encode))
             except ReproError as exc:
                 out.append(_error_marker(exc))
         return out
-    return [execute_query(graph, "dfs", root, ov, backend=backend)
+    return [execute_query(graph, "dfs", root, ov, backend=backend,
+                          encode=encode)
             for root, ov in tasks]

@@ -33,13 +33,17 @@ counter dicts are string-keyed, and the encoders below are used by both
 the daemon and the direct execution path, so "bit-identical to direct
 execution" is a straight ``==`` on the decoded payloads (the serve-diff
 oracle rung and the load-test ``--verify`` mode both rely on this).
+The daemon sends the text of the ``*_to_json`` encoders, which is
+byte-identical to ``json.dumps`` of the ``*_to_dict`` payloads with
+compact separators.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +68,10 @@ __all__ = [
     "frontier_result_to_dict",
     "sharded_result_to_dict",
     "counters_to_wire",
+    "payload_to_json",
+    "dfs_result_to_json",
+    "frontier_results_to_json",
+    "sharded_result_to_json",
 ]
 
 PROTOCOL_VERSION = 1
@@ -247,6 +255,50 @@ def _dict_key(k) -> str:
     return str(int(k))
 
 
+def _traversal_head(t) -> Dict[str, Any]:
+    """Leading keys of every traversal payload (dense ``parent``, sparse
+    ``visited``); :func:`_traversals_to_json` writes the same keys as
+    text."""
+    return {
+        "n_vertices": int(t.parent.shape[0]),
+        "root": int(t.root),
+        "parent": t.parent.tolist(),
+        "visited": np.flatnonzero(t.visited).tolist(),
+    }
+
+
+def _dfs_tail(res) -> Dict[str, Any]:
+    t = res.traversal
+    return {
+        "n_visited": int(t.n_visited),
+        "edges_traversed": int(t.edges_traversed),
+        "cycles": int(res.cycles),
+        "steps": int(res.engine.steps),
+        "counters": counters_to_wire(res.counters),
+    }
+
+
+def _sharded_tail(res) -> Dict[str, Any]:
+    return {
+        **_dfs_tail(res),
+        "backend": "shard",
+        "shards": int(res.k),
+        "rounds": int(res.n_rounds),
+    }
+
+
+def _frontier_tail(res, backend: str) -> Dict[str, Any]:
+    t = res.traversal
+    return {
+        "n_visited": int(t.n_visited),
+        "edges_traversed": int(t.edges_traversed),
+        "backend": backend,
+        "n_levels": int(res.n_levels),
+        "pushes": int(res.pushes),
+        "pulls": int(res.pulls),
+    }
+
+
 def dfs_result_to_dict(res) -> Dict[str, Any]:
     """Canonical payload of one :class:`DiggerBeesResult`.
 
@@ -254,18 +306,7 @@ def dfs_result_to_dict(res) -> Dict[str, Any]:
     bool lists would dominate the payload on mostly-unreachable graphs —
     together with ``n_vertices`` so the dense array is recoverable.
     """
-    t = res.traversal
-    return {
-        "n_vertices": int(t.parent.shape[0]),
-        "root": int(t.root),
-        "parent": t.parent.tolist(),
-        "visited": np.flatnonzero(t.visited).tolist(),
-        "n_visited": int(t.n_visited),
-        "edges_traversed": int(t.edges_traversed),
-        "cycles": int(res.cycles),
-        "steps": int(res.engine.steps),
-        "counters": counters_to_wire(res.counters),
-    }
+    return {**_traversal_head(res.traversal), **_dfs_tail(res)}
 
 
 def sharded_result_to_dict(res) -> Dict[str, Any]:
@@ -281,21 +322,7 @@ def sharded_result_to_dict(res) -> Dict[str, Any]:
     ``cycles``/``rounds``/counters carry the protocol's modeled cost,
     which is why the shard tier gets its own result-cache key.
     """
-    t = res.traversal
-    return {
-        "n_vertices": int(t.parent.shape[0]),
-        "root": int(t.root),
-        "parent": t.parent.tolist(),
-        "visited": np.flatnonzero(t.visited).tolist(),
-        "n_visited": int(t.n_visited),
-        "edges_traversed": int(t.edges_traversed),
-        "cycles": int(res.cycles),
-        "steps": int(res.engine.steps),
-        "counters": counters_to_wire(res.counters),
-        "backend": "shard",
-        "shards": int(res.k),
-        "rounds": int(res.n_rounds),
-    }
+    return {**_traversal_head(res.traversal), **_sharded_tail(res)}
 
 
 def frontier_result_to_dict(res, backend: str = "frontier"
@@ -312,16 +339,142 @@ def frontier_result_to_dict(res, backend: str = "frontier"
     min-parent tie-break is deterministic), so it caches and replays
     like any DFS payload.
     """
-    t = res.traversal
-    return {
-        "n_vertices": int(t.parent.shape[0]),
-        "root": int(t.root),
-        "parent": t.parent.tolist(),
-        "visited": np.flatnonzero(t.visited).tolist(),
-        "n_visited": int(t.n_visited),
-        "edges_traversed": int(t.edges_traversed),
-        "backend": backend,
-        "n_levels": int(res.n_levels),
-        "pushes": int(res.pushes),
-        "pulls": int(res.pulls),
-    }
+    return {**_traversal_head(res.traversal), **_frontier_tail(res, backend)}
+
+
+# ---------------------------------------------------------------------------
+# Canonical payload text.
+#
+# The ``*_to_json`` encoders below are byte-identical to
+# ``json.dumps(<the *_to_dict payload>, separators=(",", ":"))``, which
+# stays the oracle.  They write ``parent`` and ``visited`` without
+# boxing one Python int per vertex: every value's decimal text comes
+# from a per-``n`` token table, gathered for all lanes at once.
+# ---------------------------------------------------------------------------
+
+_SEPARATORS = (",", ":")
+
+#: Cap on the uint8 cells (lanes x values x token width) one gather of
+#: :func:`_traversals_to_json` materializes; wider batches go in chunks.
+_ENCODE_CHUNK_CELLS = 1 << 24
+
+
+def payload_to_json(payload: Dict[str, Any]) -> str:
+    """Canonical JSON text of any result payload dict."""
+    return json.dumps(payload, separators=_SEPARATORS)
+
+
+@functools.lru_cache(maxsize=4)
+def _token_table(n: int):
+    """``(table, lengths, full)``: decimal text of every value -2..n-1.
+
+    Row ``v + 2`` of the zero-padded uint8 ``table`` holds the ASCII
+    digits of ``v`` followed by a comma, and ``lengths[v + 2]`` its byte
+    count.  ``full`` is the JSON text of ``[0, 1, ..., n-1]``, the
+    ``visited`` list of every traversal that reached all vertices.
+    """
+    value = np.arange(n, dtype=np.int64)
+    n_digits = np.ones(n, dtype=np.int64)
+    power = 10
+    while power < n:
+        n_digits += value >= power
+        power *= 10
+    max_digits = int(n_digits.max(initial=1))
+    table = np.zeros((n + 2, max(3, max_digits + 1)), dtype=np.uint8)
+    table[0, :3] = np.frombuffer(b"-2,", dtype=np.uint8)
+    table[1, :3] = np.frombuffer(b"-1,", dtype=np.uint8)
+    body, row, rest = table[2:], np.arange(n), value.copy()
+    for k in range(max_digits):          # least significant digit first
+        col = n_digits - 1 - k
+        has = col >= 0
+        body[row[has], col[has]] = rest[has] % 10 + ord("0")
+        rest //= 10
+    body[row, n_digits] = ord(",")
+    lengths = np.concatenate(([3, 3], n_digits + 1)).astype(np.uint8)
+    table.setflags(write=False)
+    lengths.setflags(write=False)
+    full = ("[" + body.tobytes().translate(None, b"\0")
+            .decode("ascii")[:-1] + "]" if n else "[]")
+    return table, lengths, full
+
+
+def _list_texts(table: np.ndarray, lengths: np.ndarray, rows: np.ndarray,
+                counts: np.ndarray) -> List[str]:
+    """One ``"[...]"`` text per lane from token ``rows`` laid out lane
+    after lane, ``counts[i]`` of them for lane ``i``."""
+    # Dropping the zero padding from the raw bytes is ~1.8x faster than
+    # a boolean-mask compress of the gathered cells.
+    text = (np.take(table, rows, axis=0).tobytes()
+            .translate(None, b"\0").decode("ascii"))
+    starts = np.cumsum(counts) - counts
+    filled = counts > 0
+    sizes = np.zeros(counts.size, dtype=np.int64)
+    sizes[filled] = np.add.reduceat(np.take(lengths, rows), starts[filled],
+                                    dtype=np.int64)
+    bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    bounds = bounds.tolist()
+    # ``hi - 1`` drops each lane's trailing comma.
+    return ["[" + text[lo:hi - 1] + "]" if hi > lo else "[]"
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _traversals_to_json(traversals: Sequence[Any],
+                       tails: Sequence[Dict[str, Any]]) -> List[str]:
+    """Canonical JSON text of many traversal payloads in one pass.
+
+    ``traversals`` share one vertex count; ``tails`` are the payload
+    keys after ``visited`` (see :func:`_frontier_tail`).  Lanes are
+    stacked into ``(lanes, n)`` matrices, every value is gathered from
+    the token table at once, the padding is dropped from the raw bytes,
+    and the text is cut back into lanes by their byte lengths.
+    A lane that reached every vertex shares the cached ``full`` text
+    for ``visited``.
+    """
+    if not traversals:
+        return []
+    n = int(traversals[0].parent.shape[0])
+    table, lengths, full = _token_table(n)
+    chunk = max(1, _ENCODE_CHUNK_CELLS // max(1, n * table.shape[1]))
+    parents: List[str] = []
+    visiteds: List[str] = []
+    for lo in range(0, len(traversals), chunk):
+        lanes = traversals[lo:lo + chunk]
+        parent = np.stack([t.parent for t in lanes])
+        if parent.size and (parent.min() < -2 or parent.max() >= n):
+            raise ValueError("parent values must lie in [-2, n)")
+        parents += _list_texts(table, lengths, (parent + 2).ravel(),
+                               np.full(len(lanes), n, dtype=np.int64))
+        visited = np.stack([t.visited for t in lanes])
+        reached = np.count_nonzero(visited, axis=1)
+        texts = [full] * len(lanes)
+        part = np.flatnonzero(reached < n)
+        if part.size:
+            _, cols = np.nonzero(visited[part])
+            for i, text in zip(part.tolist(), _list_texts(
+                    table, lengths, cols + 2, reached[part])):
+                texts[i] = text
+        visiteds += texts
+    return ['{"n_vertices":%d,"root":%d,"parent":%s,"visited":%s,%s' % (
+                n, int(t.root), parent_text, visited_text,
+                payload_to_json(tail)[1:])
+            for t, tail, parent_text, visited_text
+            in zip(traversals, tails, parents, visiteds)]
+
+
+def dfs_result_to_json(res) -> str:
+    """Text of :func:`dfs_result_to_dict`, byte for byte."""
+    return _traversals_to_json([res.traversal], [_dfs_tail(res)])[0]
+
+
+def sharded_result_to_json(res) -> str:
+    """Text of :func:`sharded_result_to_dict`, byte for byte."""
+    return _traversals_to_json([res.traversal], [_sharded_tail(res)])[0]
+
+
+def frontier_results_to_json(results: Sequence[Any],
+                             backend: str = "frontier") -> List[str]:
+    """Texts of :func:`frontier_result_to_dict` for every result (the
+    lanes of one swarm batch, or one frontier run), byte for byte."""
+    return _traversals_to_json([r.traversal for r in results],
+                              [_frontier_tail(r, backend) for r in results])

@@ -19,14 +19,16 @@ Architecture (one process, one event loop):
   flushed swarm group, one run per query otherwise) either in-process
   (``jobs = 0``) or on the persistent worker pool of
   :mod:`repro.bench.harness` with zero-copy shm graph hand-off.
+  Executors return each answer as its canonical JSON text, so the
+  event loop never serializes a payload.
   Infrastructure failures degrade stepwise — broken pool -> fresh
   pool -> pickled graph -> in-process — and every demotion is
   counted in ``stats``; a query is answered wrong never, slower at
   worst.
 * **Caching** — results are memoized per graph
   (:mod:`repro.serve.cache`), keyed by (op, root, config, graph
-  fingerprint, resolved backend); hits are answered inline on the
-  event loop from the pre-serialized JSON.
+  fingerprint, resolved backend) as that JSON text; hits are answered
+  inline on the event loop by splicing the text into the response.
 * **Shutdown** — stops accepting, flushes every admission group,
   drains in-flight executions (bounded by ``drain_timeout``), spills
   caches, then closes.  Client disconnects never cancel executions
@@ -36,6 +38,7 @@ Architecture (one process, one event loop):
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +53,12 @@ from repro.serve.cache import (
     result_key,
 )
 from repro.serve.corpus import ResidentCorpus, ResidentGraph
-from repro.serve.exec import ERROR_KEY, execute_dfs_batch, execute_query
+from repro.serve.exec import (
+    ERROR_KEY,
+    Answer,
+    execute_dfs_batch,
+    execute_query,
+)
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     QUERY_OPS,
@@ -100,7 +108,7 @@ class _PendingQuery:
                  backend: str = "dfs"):
         self.request = request
         self.key = key          # cache key (single-flight identity)
-        self.future = future    # resolves to (result, raw, batch_width)
+        self.future = future    # resolves to (answer, batch_width)
         self.admitted = admitted
         self.backend = backend  # resolved engine family (dfs queries)
 
@@ -357,6 +365,16 @@ class ServeServer:
             )
         except (ReproError, ValueError, TypeError) as exc:
             raise ProtocolError(f"bad add_graph payload: {exc}") from None
+        if not graph.directed:
+            # The BFS engines read an undirected graph's rows as their
+            # own reverse, so a one-way arc would make the answer depend
+            # on which engine (and batch width) served the query.
+            arc = graph.asymmetric_arc()
+            if arc is not None:
+                raise ProtocolError(
+                    f"bad add_graph payload: undirected graph stores arc "
+                    f"{arc} without its reverse (send directed=true or "
+                    f"both arcs)")
         entry = self.corpus.add(graph, str(p["name"]))
         return {"added": entry.name, "fingerprint": entry.fingerprint,
                 "n_vertices": int(graph.n_vertices)}
@@ -424,10 +442,9 @@ class ServeServer:
             hit = cache.get(key)
             if hit is not None:
                 self.stats.bump("cache_hits")
-                result, raw = hit
                 return encode_response_with_raw_result(
                     Response(op=req.op, id=req.id, cached=True,
-                             elapsed_ms=_ms(loop.time() - t0)), raw)
+                             elapsed_ms=_ms(loop.time() - t0)), hit)
             self.stats.bump("cache_misses")
 
             # Single-flight: identical query already executing -> wait
@@ -467,18 +484,18 @@ class ServeServer:
     async def _await_pending(self, pending: _PendingQuery,
                              t0: float) -> bytes:
         loop = asyncio.get_running_loop()
-        result, raw, width = await pending.future
+        answer, width = await pending.future
         elapsed = _ms(loop.time() - t0)
         req = pending.request
-        if ERROR_KEY in result:
+        if not isinstance(answer, str):     # error marker
             self.stats.bump("errors")
             return encode_response(Response(
                 op=req.op, id=req.id, ok=False,
-                error=dict(result[ERROR_KEY]), batch=width,
+                error=dict(answer[ERROR_KEY]), batch=width,
                 elapsed_ms=elapsed))
         return encode_response_with_raw_result(
             Response(op=req.op, id=req.id, batch=width,
-                     elapsed_ms=elapsed), raw)
+                     elapsed_ms=elapsed), answer)
 
     # ------------------------------------------------------------------
     # Batch execution.
@@ -510,14 +527,17 @@ class ServeServer:
                     # nest pools.
                     results = await self._execute_inline(
                         execute_dfs_batch, entry, tasks, "shard",
-                        self.config.shards, max(1, self.config.jobs))
+                        self.config.shards, max(1, self.config.jobs),
+                        encode=True)
                 else:
                     results = await self._execute(
-                        execute_dfs_batch, entry, tasks, backend)
+                        execute_dfs_batch, entry, tasks, backend,
+                        encode=True)
             else:
                 req = pendings[0].request
                 results = [await self._execute(
-                    execute_query, entry, req.op, req.root, req.config)]
+                    execute_query, entry, req.op, req.root, req.config,
+                    encode=True)]
         except asyncio.CancelledError:
             for p in pendings:
                 if not p.future.done():
@@ -532,16 +552,15 @@ class ServeServer:
 
     def _settle(self, entry: ResidentGraph,
                 pendings: List[_PendingQuery],
-                results: List[Dict[str, Any]], width: int) -> None:
+                results: List[Answer], width: int) -> None:
+        """Resolve each query with its answer: the payload's JSON text
+        from the executor, or an error marker dict."""
         cache = self._cache_for(entry)
-        for pending, result in zip(pendings, results):
-            ok = ERROR_KEY not in result
-            raw = (json.dumps(result, separators=(",", ":"))
-                   if ok else "")
+        for pending, answer in zip(pendings, results):
             waiters: List[_PendingQuery] = []
             if not pending.request.no_cache:
-                if ok:
-                    cache.put(pending.key, result, raw)
+                if isinstance(answer, str):
+                    cache.put(pending.key, answer)
                 # Resolve the single-flight group (leader is member 0);
                 # no_cache queries never own a group, so they must not
                 # pop one that a cached-path leader is still executing.
@@ -550,10 +569,10 @@ class ServeServer:
             group = [pending] + [w for w in waiters if w is not pending]
             for member in group:
                 if not member.future.done():
-                    member.future.set_result((result, raw, width))
+                    member.future.set_result((answer, width))
 
-    async def _execute(self, fn, entry: ResidentGraph, *args):
-        """Run ``fn(graph, *args)`` at the configured execution tier.
+    async def _execute(self, fn, entry: ResidentGraph, *args, **kwargs):
+        """Run ``fn(graph, *args, **kwargs)`` at the configured tier.
 
         Degradation ladder for ``jobs >= 1``: healthy pool with shm spec
         -> (pool broke) one fresh pool -> (shm dangling) pickled graph
@@ -570,7 +589,7 @@ class ServeServer:
             for attempt in range(2):
                 handle = harness.lease_pool(jobs)
                 try:
-                    fut = handle.executor.submit(fn, wire, *args)
+                    fut = handle.executor.submit(fn, wire, *args, **kwargs)
                     out = await asyncio.wrap_future(fut)
                 except BrokenProcessPool:
                     harness.release_pool(handle, broken=True)
@@ -590,16 +609,19 @@ class ServeServer:
                     harness.release_pool(handle)
                     return out
             self.stats.bump("inline_fallbacks")
-        return await self._execute_inline(fn, entry, *args)
+        return await self._execute_inline(fn, entry, *args, **kwargs)
 
-    async def _execute_inline(self, fn, entry: ResidentGraph, *args):
-        """Run ``fn(graph, *args)`` on the daemon's bounded thread pool."""
+    async def _execute_inline(self, fn, entry: ResidentGraph, *args,
+                              **kwargs):
+        """Run ``fn(graph, *args, **kwargs)`` on the daemon's bounded
+        thread pool."""
         loop = asyncio.get_running_loop()
         if self._thread_exec is None:
             self._thread_exec = ThreadPoolExecutor(
                 max_workers=2, thread_name_prefix="serve-exec")
         return await loop.run_in_executor(
-            self._thread_exec, fn, entry.graph, *args)
+            self._thread_exec,
+            functools.partial(fn, entry.graph, *args, **kwargs))
 
     # ------------------------------------------------------------------
     # Window flusher.

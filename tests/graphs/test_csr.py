@@ -124,6 +124,19 @@ class TestTransforms:
         assert s.is_symmetric()
         assert s.n_edges == 4
 
+    def test_asymmetric_arc_names_a_one_way_arc(self):
+        g = from_edges(10, [(4, 3), (5, 1), (6, 0), (5, 0), (0, 2), (7, 4)])
+        arc = g.asymmetric_arc()
+        assert arc in {(4, 3), (5, 1), (6, 0), (5, 0), (0, 2), (7, 4)}
+        assert not g.is_symmetric()
+        assert g.symmetrize().asymmetric_arc() is None
+
+    def test_symmetry_ignores_duplicates_and_self_loops(self):
+        g = from_edges(3, [(0, 1), (0, 1), (1, 0), (2, 2)])
+        assert g.is_symmetric()
+        assert from_edges(0, []).is_symmetric()
+        assert not from_edges(3, [(0, 1), (1, 0), (1, 2)]).is_symmetric()
+
     def test_symmetrize_removes_self_loops(self):
         g = from_edges(2, [(0, 0), (0, 1)], directed=True)
         s = g.symmetrize()

@@ -35,31 +35,35 @@ def test_result_key_order_independent_config():
 
 
 # ---------------------------------------------------------------------------
-# In-memory LRU.
+# In-memory LRU.  Entries are the results' canonical JSON text.
 # ---------------------------------------------------------------------------
+
+def _raw(result):
+    return json.dumps(result, separators=(",", ":"))
+
 
 def test_lru_eviction_prefers_least_recently_used():
     cache = _mk(max_entries=2)
-    cache.put("a", {"v": 1})
-    cache.put("b", {"v": 2})
+    cache.put("a", _raw({"v": 1}))
+    cache.put("b", _raw({"v": 2}))
     assert cache.get("a") is not None   # refresh a
-    cache.put("c", {"v": 3})            # evicts b
+    cache.put("c", _raw({"v": 3}))      # evicts b
     assert cache.get("b") is None
-    assert cache.get("a")[0] == {"v": 1}
-    assert cache.get("c")[0] == {"v": 3}
+    assert cache.get("a") == '{"v":1}'
+    assert cache.get("c") == '{"v":3}'
 
 
-def test_get_returns_result_and_raw_json():
+def test_get_returns_raw_json_text():
     cache = _mk()
-    cache.put("k", {"x": [1, 2]})
-    result, raw = cache.get("k")
-    assert result == {"x": [1, 2]}
-    assert json.loads(raw) == result
+    raw = _raw({"x": [1, 2]})
+    cache.put("k", raw)
+    assert cache.get("k") is raw        # the stored text, not a copy
+    assert all(isinstance(v, str) for v in cache._entries.values())
 
 
 def test_stats_track_hits_and_misses():
     cache = _mk()
-    cache.put("k", {})
+    cache.put("k", "{}")
     cache.get("k")
     cache.get("nope")
     s = cache.stats()
@@ -68,7 +72,7 @@ def test_stats_track_hits_and_misses():
 
 def test_zero_capacity_disables_cache(tmp_path):
     cache = GraphResultCache("g", "f" * 16, tmp_path, max_entries=0)
-    cache.put("k", {"v": 1})
+    cache.put("k", _raw({"v": 1}))
     assert cache.get("k") is None
     assert len(list(tmp_path.iterdir())) == 0
 
@@ -79,37 +83,59 @@ def test_zero_capacity_disables_cache(tmp_path):
 
 def test_flush_and_reload_roundtrip(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k1", {"v": 1})
-    cache.put("k2", {"v": [1, 2, 3]})
+    texts = {"k1": _raw({"v": 1}), "k2": _raw({"v": [1, 2, 3]}),
+             "k3": _raw({"s": "a,b}:[", "e": {}, "l": []})}
+    for key, raw in texts.items():
+        cache.put(key, raw)
     cache.flush()
     again = _mk(tmp_path)
-    assert again.get("k1")[0] == {"v": 1}
-    assert again.get("k2")[0] == {"v": [1, 2, 3]}
+    # Reloaded texts are byte-identical to what was stored.
+    assert {k: again.get(k) for k in texts} == texts
+
+
+def test_reload_keeps_lru_order(tmp_path):
+    cache = _mk(tmp_path, max_entries=3)
+    for i in range(3):
+        cache.put(f"k{i}", _raw({"v": i}))
+    cache.flush()
+    again = _mk(tmp_path, max_entries=3)
+    assert list(again._entries) == ["k0", "k1", "k2"]
 
 
 def test_autoflush_after_flush_every_inserts(tmp_path):
     cache = _mk(tmp_path, max_entries=FLUSH_EVERY + 8)
     for i in range(FLUSH_EVERY):
-        cache.put(f"k{i}", {"v": i})
+        cache.put(f"k{i}", _raw({"v": i}))
     assert _mk(tmp_path, max_entries=FLUSH_EVERY + 8).get("k0") is not None
 
 
 def test_corrupt_cache_file_discarded_and_unlinked(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k", {"v": 1})
+    cache.put("k", _raw({"v": 1}))
     cache.flush()
     path = cache._path
     path.write_text("{ not json at all")
     again = _mk(tmp_path)
     assert again.get("k") is None       # corrupt content was dropped
     assert not path.exists()            # and the bad file removed
-    again.put("k", {"v": 2})            # cache still fully functional
-    assert again.get("k")[0] == {"v": 2}
+    again.put("k", _raw({"v": 2}))      # cache still fully functional
+    assert again.get("k") == '{"v":2}'
+
+
+def test_foreign_layout_discarded(tmp_path):
+    """Valid JSON in another layout than ``flush`` writes is dropped:
+    loading slices entry texts out of the file, never re-serializes."""
+    cache = _mk(tmp_path)
+    cache.put("k", _raw({"v": 1}))
+    cache.flush()
+    data = json.loads(cache._path.read_text())
+    cache._path.write_text(json.dumps(data, indent=1))
+    assert _mk(tmp_path).get("k") is None
 
 
 def test_version_skew_discards_file(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k", {"v": 1})
+    cache.put("k", _raw({"v": 1}))
     cache.flush()
     data = json.loads(cache._path.read_text())
     data["version"] = CACHE_VERSION + 1
@@ -119,7 +145,7 @@ def test_version_skew_discards_file(tmp_path):
 
 def test_fingerprint_mismatch_discards_file(tmp_path):
     cache = _mk(tmp_path, fp="a" * 16)
-    cache.put("k", {"v": 1})
+    cache.put("k", _raw({"v": 1}))
     cache.flush()
     # Same graph name, different content: stale entries must not load.
     other = GraphResultCache("g", "b" * 16, tmp_path, max_entries=8)
@@ -128,7 +154,7 @@ def test_fingerprint_mismatch_discards_file(tmp_path):
 
 def test_truncated_file_discarded(tmp_path):
     cache = _mk(tmp_path)
-    cache.put("k", {"v": 1})
+    cache.put("k", _raw({"v": 1}))
     cache.flush()
     body = cache._path.read_text()
     cache._path.write_text(body[: len(body) // 2])

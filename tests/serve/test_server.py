@@ -233,6 +233,29 @@ def test_add_graph_rejects_bad_payloads():
     serve_session(scenario)
 
 
+def test_add_graph_rejects_asymmetric_undirected_csr():
+    """One-way arcs in a ``directed: false`` graph would make swarm and
+    frontier answers (so the answer per flush width) disagree."""
+    from repro.graphs.csr import from_edges
+
+    arcs = [(4, 3), (5, 1), (6, 0), (5, 0), (0, 2), (7, 4)]
+    one_way = from_edges(10, arcs)
+
+    async def scenario(client, **_):
+        with pytest.raises(ServeError, match="without its reverse"):
+            await client.add_graph("oneway", one_way.row_ptr,
+                                   one_way.column_idx)
+        graphs = await client.graphs()
+        assert "oneway" not in {g["name"] for g in graphs}
+        # The same arcs are fine as a directed graph or symmetrized.
+        await client.add_graph("oneway", one_way.row_ptr,
+                               one_way.column_idx, directed=True)
+        sym = one_way.symmetrize()
+        await client.add_graph("both", sym.row_ptr, sym.column_idx)
+
+    serve_session(scenario)
+
+
 def test_shutdown_op_stops_the_server():
     async def scenario(client, server, **_):
         resp = await client.shutdown()
